@@ -505,7 +505,7 @@ func BenchmarkAblationLaggedVsFresh(b *testing.B) {
 		p    solver.HaloPolicy
 	}{{"Lagged", solver.Lagged}, {"Fresh", solver.Fresh}} {
 		b.Run(pol.name, func(b *testing.B) {
-			r, err := par.NewRunner(jet.Paper(), benchGrid(), par.Options{Procs: 4, Policy: pol.p})
+			r, err := par.NewRunner(jet.Paper(), benchGrid(), par.Options{Px: 4, Pr: 1, Policy: pol.p})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -569,7 +569,7 @@ func reportCommWait(b *testing.B, res *par.Result) {
 func BenchmarkAblationOverlap(b *testing.B) {
 	for _, v := range []par.Version{par.V5, par.V6} {
 		b.Run(v.String(), func(b *testing.B) {
-			r, err := par.NewRunner(jet.Paper(), benchGrid(), par.Options{Procs: 4, Version: v, Policy: solver.Lagged})
+			r, err := par.NewRunner(jet.Paper(), benchGrid(), par.Options{Px: 4, Pr: 1, Version: v, Policy: solver.Lagged})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -588,7 +588,7 @@ func BenchmarkAblationOverlap(b *testing.B) {
 func BenchmarkAblationOverlap2D(b *testing.B) {
 	for _, v := range []par.Version{par.V5, par.V6} {
 		b.Run(v.String(), func(b *testing.B) {
-			r, err := par.NewRunner2D(jet.Paper(), benchGrid(), par.Options2D{Px: 2, Pr: 2, Version: v, Policy: solver.Lagged})
+			r, err := par.NewRunner(jet.Paper(), benchGrid(), par.Options{Px: 2, Pr: 2, Version: v, Policy: solver.Lagged})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -643,7 +643,7 @@ func BenchmarkAblationReduce(b *testing.B) {
 	const stepsPerIter = 10
 	for _, k := range []int{0, 1, 2, 5, 10} {
 		b.Run(fmt.Sprintf("mp:v5/every%d", k), func(b *testing.B) {
-			r, err := par.NewRunner(jet.Paper(), benchGrid(), par.Options{Procs: 4, Policy: solver.Lagged})
+			r, err := par.NewRunner(jet.Paper(), benchGrid(), par.Options{Px: 4, Pr: 1, Policy: solver.Lagged})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -717,7 +717,7 @@ func BenchmarkAblationReduce(b *testing.B) {
 func BenchmarkAblationHaloDepth(b *testing.B) {
 	for _, k := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("mp:v5/wide%d", k), func(b *testing.B) {
-			r, err := par.NewRunner(jet.Paper(), benchGrid(), par.Options{Procs: 2, Policy: solver.Wide(k)})
+			r, err := par.NewRunner(jet.Paper(), benchGrid(), par.Options{Px: 2, Pr: 1, Policy: solver.Wide(k)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -779,7 +779,7 @@ func BenchmarkAblationHaloDepth(b *testing.B) {
 	// ranks' message traffic drops to zero.
 	for _, grp := range []int{1, 2} {
 		b.Run(fmt.Sprintf("mp:v5/reduce-group%d", grp), func(b *testing.B) {
-			r, err := par.NewRunner(jet.Paper(), benchGrid(), par.Options{Procs: 4, Policy: solver.Lagged, ReduceGroup: grp})
+			r, err := par.NewRunner(jet.Paper(), benchGrid(), par.Options{Px: 4, Pr: 1, Policy: solver.Lagged, ReduceGroup: grp})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -900,7 +900,7 @@ func BenchmarkAblationEagerVsRendezvous(b *testing.B) {
 func BenchmarkAblationDecomposition(b *testing.B) {
 	for _, procs := range []int{1, 2, 4, 8} {
 		b.Run(decompName(procs), func(b *testing.B) {
-			r, err := par.NewRunner(jet.Paper(), benchGrid(), par.Options{Procs: procs, Policy: solver.Lagged})
+			r, err := par.NewRunner(jet.Paper(), benchGrid(), par.Options{Px: procs, Pr: 1, Policy: solver.Lagged})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -54,7 +54,6 @@ func main() {
 		euler     = flag.Bool("euler", false, "solve the Euler equations instead of Navier-Stokes")
 		name      = flag.String("backend", "serial", "execution backend: "+strings.Join(backend.Names(), ", "))
 		scen      = flag.String("scenario", "", "flow scenario: "+strings.Join(scenario.Names(), ", ")+" (empty = jet; cavity/channel pin their own physics, so -euler applies to the jet only)")
-		mode      = flag.String("mode", "", "deprecated alias for -backend: serial, mp, shm")
 		procs     = flag.Int("procs", 4, "ranks (mp, mp2d, hybrid) or workers (shm)")
 		workers   = flag.Int("workers", 0, "per-rank DOALL workers (hybrid; 0 = host default)")
 		px        = flag.Int("px", 0, "axial rank-grid width (mp2d; 0 = auto near-square)")
@@ -77,13 +76,10 @@ func main() {
 	)
 	flag.Parse()
 
-	explicitBackend := false
 	explicitProcs := false
 	explicitHalo := false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "backend":
-			explicitBackend = true
 		case "procs":
 			explicitProcs = true
 		case "reduce-every":
@@ -98,16 +94,13 @@ func main() {
 			}
 		}
 	})
-	if *mode != "" && explicitBackend {
-		log.Fatalf("-mode %q conflicts with -backend %q; -mode is a deprecated alias, drop it", *mode, *name)
-	}
 	if err := cliutil.ValidateHaloFlags(*fresh, *haloDepth, explicitHalo); err != nil {
 		log.Fatal(err)
 	}
-	// -version feeds the registry options with every backend, not only
-	// the deprecated -mode mp alias: "-backend mp2d -version 6" selects
-	// the overlapped strategy, and a contradiction like "-backend mp:v5
-	// -version 6" is rejected by the registry instead of ignored.
+	// -version feeds the registry options with every backend: "-backend
+	// mp2d -version 6" selects the overlapped strategy, and a
+	// contradiction like "-backend mp:v5 -version 6" is rejected by the
+	// registry instead of ignored.
 	cfg := core.Config{
 		Scenario: *scen,
 		Euler:    *euler, Nx: *nx, Nr: *nr, Steps: *steps,
@@ -127,26 +120,12 @@ func main() {
 		DefectTol:     *defectTol,
 		FineBackend:   *fine,
 	}
-	// The deprecated -mode alias maps onto the legacy Mode selector,
-	// whose resolution (including "mp" + -version → mp:vN) lives in one
-	// place: core.Config.backendName.
-	switch *mode {
-	case "":
-	case "serial":
-		cfg.Backend, cfg.Mode = "", core.Serial
-	case "mp":
-		cfg.Backend, cfg.Mode = "", core.MessagePassing
-	case "shm":
-		cfg.Backend, cfg.Mode = "", core.SharedMemory
-	default:
-		log.Fatalf("unknown mode %q", *mode)
-	}
 	if *px > 0 && *pr > 0 && !explicitProcs {
 		// An explicit rank-grid shape defines the width; only an
 		// explicitly contradicting -procs should error downstream.
 		cfg.Procs = 0
 	}
-	if (cfg.Backend == "serial" || (cfg.Backend == "" && cfg.Mode == core.Serial)) && cfg.FineBackend == "" {
+	if cfg.Backend == "serial" && cfg.FineBackend == "" {
 		// With -fine set the default-serial spelling names only the
 		// coordinator; the fine propagator keeps its -procs width.
 		cfg.Procs = 1

@@ -25,7 +25,7 @@ func main() {
 	pgm := flag.String("pgm", "", "also write a PGM image")
 	flag.Parse()
 
-	run, err := core.NewRun(core.Config{Nx: *nx, Nr: *nr, Steps: *steps, Mode: core.Serial})
+	run, err := core.NewRun(core.Config{Nx: *nx, Nr: *nr, Steps: *steps})
 	if err != nil {
 		log.Fatal(err)
 	}

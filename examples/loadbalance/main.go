@@ -77,7 +77,7 @@ func main() {
 	}
 	run, err := core.NewRun(core.Config{
 		Nx: 128, Nr: 48, Steps: 50,
-		Mode: core.MessagePassing, Procs: procs,
+		Backend: "mp:v5", Procs: procs,
 		Balance: "flops",
 	})
 	if err != nil {

@@ -16,7 +16,6 @@ func main() {
 		Nx:    100, // 100x40 grid over 50x5 jet radii
 		Nr:    40,
 		Steps: 200,
-		Mode:  core.Serial,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -10,21 +10,18 @@ import (
 )
 
 // TestEndToEnd exercises the public API as a downstream user would:
-// build a jet, run it in all three legacy modes plus the 2-D rank-grid
-// backend, render the field, and check the fast subset of the paper's
-// claims.
+// build a jet, run it serial, message-passing, shared-memory and on the
+// 2-D rank grid, render the field, and check the fast subset of the
+// paper's claims.
 func TestEndToEnd(t *testing.T) {
 	configs := []core.Config{
-		{Nx: 64, Nr: 24, Steps: 6, Mode: core.Serial, Procs: 4},
-		{Nx: 64, Nr: 24, Steps: 6, Mode: core.MessagePassing, Procs: 4},
-		{Nx: 64, Nr: 24, Steps: 6, Mode: core.SharedMemory, Procs: 4},
+		{Nx: 64, Nr: 24, Steps: 6, Backend: "serial", Procs: 4},
+		{Nx: 64, Nr: 24, Steps: 6, Backend: "mp:v5", Procs: 4},
+		{Nx: 64, Nr: 24, Steps: 6, Backend: "shm", Procs: 4},
 		{Nx: 64, Nr: 24, Steps: 6, Backend: "mp2d", Px: 2, Pr: 2},
 	}
 	for _, cfg := range configs {
 		name := cfg.Backend
-		if name == "" {
-			name = cfg.Mode.String()
-		}
 		run, err := core.NewRun(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", name, err)

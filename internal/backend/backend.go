@@ -6,26 +6,34 @@
 // by name and get bitwise-identical physics however the sweeps are
 // scheduled.
 //
-// Registered backends:
+// The eight spatial names are rows of one descriptor table
+// (spatial.go): a row states which communication versions the name
+// implements (and whether it pins one), how it shapes the rank grid,
+// and which slabs get a DOALL pool. Validate, Run and NewPropagator are
+// written once on top of the table, over one engine surface — a single
+// slab for serial and shm, the rank-grid runner of internal/par for the
+// rest. Adding a spatial backend is adding a row.
 //
-//	serial   single processor, one slab spanning the domain
-//	shm      shared-memory DOALL loop parallelism (Cray Y-MP style)
-//	mp:v5    message passing, grouped two-column halo messages
-//	mp:v6    message passing, communication/computation overlap
-//	mp:v7    message passing, de-burst one-column flux messages
-//	mp2d     message passing over a 2-D (axial × radial) rank grid:
-//	         ghost columns left/right plus ghost rows down/up
-//	mp2d:v6  the rank grid with communication/computation overlap in
-//	         both directions (interior core while messages fly)
-//	hybrid   ranks × DOALL: axial rank decomposition with each rank's
-//	         sweeps additionally split over a per-rank worker pool
+//	name     versions   shape     pool
+//	serial   —          one slab  —
+//	shm      —          one slab  Procs workers (Cray Y-MP DOALL)
+//	mp:v5    5 pinned   Procs×1   —        grouped two-column halo messages
+//	mp:v6    6 pinned   Procs×1   —        communication/computation overlap
+//	mp:v7    7 pinned   Procs×1   —        de-burst one-column flux messages
+//	mp2d     5, 6       Px×Pr     —        ghost columns plus ghost rows
+//	mp2d:v6  6 pinned   Px×Pr     —        overlap in both directions
+//	hybrid   5, 6, 7    Procs×1   Workers per rank (ranks × DOALL)
 //
-// Distributed backends additionally take Options.Version: mp2d and
-// hybrid accept the strategies they implement, the version-pinned
-// names (mp:v5/v6/v7, mp2d:v6) reject a contradicting request. They
-// also take Options.Balance — the decomposition cost model (uniform
-// point counts, the analytic flops profile, or a measured warm-up) —
-// which changes block shapes, never numerics.
+// The ninth name, parareal, is the parallel-in-time coordinator: it
+// runs any spatial name as the fine propagator of each time slice
+// through the Propagator surface.
+//
+// A name rejects every option it has no use for — a version it does
+// not implement or that contradicts its pin, a balance mode or cost
+// profile without a decomposition to apply it to, a Wide policy or
+// reduce group without ranks — never a silent downgrade. Options.Balance
+// (uniform point counts, the analytic flops profile, or a measured
+// warm-up) changes block shapes, never numerics.
 //
 // All backends run the identical slab engine of internal/solver, so
 // under the Fresh halo policy every backend reproduces the serial
@@ -34,7 +42,6 @@ package backend
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/flux"
@@ -59,16 +66,17 @@ type Options struct {
 	// scenarios validate what they can (the cavity rejects a grid
 	// without its radial offset).
 	Scenario string
-	// Procs is the number of ranks (mp, hybrid) or DOALL workers (shm).
-	// The serial backend ignores it. Zero means 1.
+	// Procs is the number of ranks or, for shm, DOALL workers. The
+	// serial backend ignores it. Zero means 1.
 	Procs int
 	// Workers is the per-rank DOALL pool size of the hybrid backend.
 	// Zero picks a host-derived default (NumCPU/Procs, at least 1).
 	Workers int
-	// Px, Pr select the rank-grid shape of the mp2d backend (axial ×
+	// Px, Pr select the rank-grid shape of the mp2d backends (axial ×
 	// radial). Both zero picks the surface-minimizing near-square shape
 	// for Procs ranks; one of them set derives the other from Procs.
-	// Other backends ignore them.
+	// The other names fix their shape (one slab, or Procs×1) and ignore
+	// them.
 	Px, Pr int
 	// Version requests a communication strategy (par.V5, V6, V7) from a
 	// distributed backend. Zero means the backend's default. A backend
@@ -173,76 +181,6 @@ const (
 // noticeably delaying the run it balances.
 const measuredProbeSteps = 1
 
-// resolveWeights maps the balance request onto per-column (and, for
-// row-decomposing backends, per-row) cost profiles. nil profiles mean
-// the uniform split. colProbe/rowProbe are the rank counts of the
-// measured warm-up in each direction — the backend's resolved
-// parallel widths, not the raw Procs field, so a shape given as Px/Pr
-// probes at its real resolution. rowProbe zero marks a backend with no
-// radial decomposition, for which an explicit row profile is an error.
-func resolveWeights(name string, cfg jet.Config, g *grid.Grid, o Options, colProbe, rowProbe int) (col, row []float64, err error) {
-	if err := validateBalance(name, o, rowProbe > 0); err != nil {
-		return nil, nil, err
-	}
-	needRows := rowProbe > 0
-	switch {
-	case o.ColWeights != nil || o.RowWeights != nil:
-		return o.ColWeights, o.RowWeights, nil
-	case o.Balance == "" || o.Balance == BalanceUniform:
-		return nil, nil, nil
-	case o.Balance == BalanceFlops:
-		col = solver.ColCostFlops(cfg, g)
-		if needRows {
-			row = solver.RowCostFlops(cfg, g)
-		}
-		return col, row, nil
-	default: // BalanceMeasured; validateBalance excluded everything else
-		col, err = par.MeasuredColWeights(cfg, g, colProbe, measuredProbeSteps)
-		if err != nil {
-			return nil, nil, err
-		}
-		if needRows {
-			row, err = par.MeasuredRowWeights(cfg, g, rowProbe, measuredProbeSteps)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		return col, row, nil
-	}
-}
-
-// validateBalance is the probe-free subset of resolveWeights used by
-// Validate: it checks the mode name, the explicit-profile conflict,
-// and that a row profile only reaches a backend that decomposes rows —
-// all without running the measured warm-up.
-func validateBalance(name string, o Options, needRows bool) error {
-	switch o.Balance {
-	case "", BalanceUniform, BalanceFlops, BalanceMeasured:
-	default:
-		return fmt.Errorf("backend: unknown balance mode %q (have %q, %q, %q)",
-			o.Balance, BalanceUniform, BalanceFlops, BalanceMeasured)
-	}
-	if (o.ColWeights != nil || o.RowWeights != nil) && o.Balance != "" {
-		return fmt.Errorf("backend: %s: explicit ColWeights/RowWeights contradict Balance %q", name, o.Balance)
-	}
-	if o.RowWeights != nil && !needRows {
-		return fmt.Errorf("backend: %s decomposes columns only, a RowWeights profile does not apply", name)
-	}
-	return nil
-}
-
-// rejectBalance is validateBalance for backends with no decomposition:
-// any non-uniform request is an error, mirroring rejectVersion.
-func rejectBalance(name string, o Options) error {
-	if o.Balance != "" && o.Balance != BalanceUniform {
-		return fmt.Errorf("backend: %s has no decomposition, balance mode %q does not apply", name, o.Balance)
-	}
-	if o.ColWeights != nil || o.RowWeights != nil {
-		return fmt.Errorf("backend: %s has no decomposition, explicit cost profiles do not apply", name)
-	}
-	return nil
-}
-
 // resolveControl maps the convergence-control request onto the
 // solver's Control, rejecting nonsense values. Every backend supports
 // convergence control (a serial slab's partial sums are already
@@ -307,87 +245,14 @@ func (o Options) procs() int {
 	return o.Procs
 }
 
-// resolveVersion reconciles the registry-level version request with a
-// backend. def is the backend's default (used when the request is
-// zero); supported lists what the backend implements; pinned, when
-// nonzero, is the version the backend's registry name hard-wires (a
-// contradicting request is an error, not a downgrade).
-func resolveVersion(name string, o Options, def, pinned par.Version, supported ...par.Version) (par.Version, error) {
-	v := o.Version
-	if v == 0 {
-		if pinned != 0 {
-			return pinned, nil
-		}
-		return def, nil
-	}
-	if pinned != 0 && v != pinned {
-		// Point at the registry name that does implement the request:
-		// the version-suffixed sibling (mp:v6) or, where the requested
-		// version is the unsuffixed default, the base name (mp2d). A
-		// request no registered name implements gets no suggestion.
-		base := strings.SplitN(name, ":", 2)[0]
-		suggest := ""
-		for _, cand := range []string{fmt.Sprintf("%s:v%d", base, int(v)), base} {
-			if _, ok := backends.Get(cand); ok {
-				suggest = fmt.Sprintf(" (select %s instead)", cand)
-				break
-			}
-		}
-		return 0, fmt.Errorf("backend: %s pins communication Version %d, contradicting the requested Version %d%s",
-			name, int(pinned), int(v), suggest)
-	}
-	for _, s := range supported {
-		if v == s {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("backend: %s does not implement communication Version %d", name, int(v))
-}
-
-// rejectVersion is resolveVersion for backends with no message layer:
-// any explicit version request is an error.
-func rejectVersion(name string, o Options) error {
-	if o.Version != 0 {
-		return fmt.Errorf("backend: %s has no message layer, communication Version %d does not apply", name, int(o.Version))
-	}
-	return nil
-}
-
-// rejectWide is the communication-avoiding counterpart of
-// rejectVersion: a backend running a single slab has no rank halos to
-// widen and no rank collectives to group, so a Wide halo policy or a
-// hierarchical-reduce request is an error, never a silent ignore.
-func rejectWide(name string, o Options) error {
-	if o.Policy.Depth() > 1 {
-		return fmt.Errorf("backend: %s runs a single slab with no rank halos; the %v policy requires a distributed backend", name, o.Policy)
-	}
-	if o.ReduceGroup > 1 {
-		return fmt.Errorf("backend: %s has no rank collectives, reduce group %d does not apply", name, o.ReduceGroup)
-	}
-	return nil
-}
-
-// validateGroup is the early (probe-free) check of a hierarchical-
-// reduce request against the resolved rank count; the runner's
-// combiner construction repeats it authoritatively.
-func validateGroup(name string, group, procs int) error {
-	if group < 0 {
-		return fmt.Errorf("backend: %s: reduce group must be >= 1, got %d", name, group)
-	}
-	if group > procs {
-		return fmt.Errorf("backend: %s: reduce group %d exceeds the %d ranks of the run", name, group, procs)
-	}
-	return nil
-}
-
 // Result reports a completed backend run.
 type Result struct {
 	Backend string
 	// Scenario is the flow problem the run solved ("jet" when Options
 	// left it unset).
 	Scenario string
-	Procs   int // ranks (mp, hybrid) or workers (shm), 1 for serial
-	Workers int // per-rank DOALL workers (hybrid), 0 otherwise
+	Procs    int // ranks, or workers (shm); 1 for serial
+	Workers  int // per-rank DOALL workers (hybrid), 0 otherwise
 	// Steps is the number of composite steps actually run — fewer
 	// than requested when StopTol stopped the run early.
 	Steps int
@@ -398,7 +263,8 @@ type Result struct {
 	Residuals []solver.ResidualPoint
 	Elapsed   time.Duration
 	Diag      solver.Diagnostics
-	// Px, Pr is the rank-grid shape (mp2d), 0 otherwise.
+	// Px, Pr is the rank-grid shape of the names that take one (mp2d,
+	// mp2d:v6); 0 for the single-slab and axial names.
 	Px, Pr int
 	// TimeSlices and Iterations report a parareal run's composition:
 	// the time-slice count K and the correction iterations actually
@@ -408,12 +274,12 @@ type Result struct {
 	TimeSlices int
 	Iterations int
 	Defect     float64
-	// Comm aggregates the message-layer counters (mp, mp2d, hybrid).
+	// Comm aggregates the message-layer counters (zero for a single slab).
 	Comm trace.Counters
-	// CommDir splits Comm by exchange direction; Radial is nonzero only
-	// for the 2-D decomposition.
+	// CommDir splits Comm by exchange class; Radial is nonzero only
+	// when the rank grid has Pr > 1.
 	CommDir trace.DirCounters
-	// PerRank is the per-rank execution profile (mp, hybrid).
+	// PerRank is the per-rank execution profile (nil for a single slab).
 	PerRank []par.RankStats
 	// Fields is the gathered full-domain conserved state (interior
 	// values), the basis for cross-backend parity checks.
@@ -488,15 +354,4 @@ func Get(name string) (Backend, error) {
 // Names returns the registered backend names, sorted.
 func Names() []string {
 	return backends.Names()
-}
-
-// gatherSlab copies the interior of a full-domain slab's state.
-func gatherSlab(g *grid.Grid, q *flux.State) *flux.State {
-	full := flux.NewState(g.Nx, g.Nr)
-	for k := 0; k < flux.NVar; k++ {
-		for c := 0; c < g.Nx; c++ {
-			copy(full[k].Col(c), q[k].Col(c))
-		}
-	}
-	return full
 }

@@ -452,7 +452,16 @@ func TestBalanceSelection(t *testing.T) {
 // silently degrade measured balance to the uniform split.
 func TestMeasuredBalanceProbesResolvedShape(t *testing.T) {
 	g := grid.MustNew(64, 26, 50, 5)
-	o, err := mp2dBackend{}.options2D(jet.Paper(), g, Options{Px: 2, Pr: 2, Balance: BalanceMeasured})
+	b, err := Get("mp2d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, opts := b.(spatialBackend), Options{Px: 2, Pr: 2, Balance: BalanceMeasured}
+	p, err := sb.resolve(jet.Paper(), g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := sb.runnerOptions(jet.Paper(), g, opts, p)
 	if err != nil {
 		t.Fatal(err)
 	}

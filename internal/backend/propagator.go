@@ -6,9 +6,6 @@ import (
 	"repro/internal/flux"
 	"repro/internal/grid"
 	"repro/internal/jet"
-	"repro/internal/par"
-	"repro/internal/shm"
-	"repro/internal/solver"
 )
 
 // Propagator is the Parareal view of a spatial backend: a solver that
@@ -49,157 +46,4 @@ func NewPropagator(b Backend, cfg jet.Config, g *grid.Grid, opts Options) (Propa
 		return nil, fmt.Errorf("backend: %s cannot serve as a parareal fine propagator", b.Name())
 	}
 	return p.NewPropagator(cfg, g, opts)
-}
-
-// slabProp adapts the single-slab solvers (serial, shm) — the slab's
-// own state surface is already the global grid.
-type slabProp struct {
-	sl     *solver.Slab
-	closer func()
-}
-
-func (p slabProp) Seed(state *flux.State, step int) {
-	p.sl.LoadState(state)
-	p.sl.SetClock(step, float64(step)*p.sl.Dt, p.sl.Dt)
-}
-
-func (p slabProp) Advance(n int) {
-	for i := 0; i < n; i++ {
-		p.sl.Advance()
-	}
-}
-
-func (p slabProp) State(dst *flux.State) { p.sl.StoreState(dst) }
-func (p slabProp) Dt() float64           { return p.sl.Dt }
-func (p slabProp) Close() {
-	if p.closer != nil {
-		p.closer()
-	}
-}
-
-// runnerProp adapts the axial rank runner (mp, hybrid).
-type runnerProp struct {
-	r      *par.Runner
-	closer func()
-}
-
-func (p runnerProp) Seed(state *flux.State, step int) { p.r.SeedState(state, step) }
-func (p runnerProp) Advance(n int)                    { p.r.AdvanceSteps(n) }
-func (p runnerProp) State(dst *flux.State)            { p.r.StoreState(dst) }
-func (p runnerProp) Dt() float64                      { return p.r.Slabs[0].Dt }
-func (p runnerProp) Close() {
-	if p.closer != nil {
-		p.closer()
-	}
-}
-
-// runner2dProp adapts the 2-D rank grid (mp2d).
-type runner2dProp struct {
-	r *par.Runner2D
-}
-
-func (p runner2dProp) Seed(state *flux.State, step int) { p.r.SeedState(state, step) }
-func (p runner2dProp) Advance(n int)                    { p.r.AdvanceSteps(n) }
-func (p runner2dProp) State(dst *flux.State)            { p.r.StoreState(dst) }
-func (p runner2dProp) Dt() float64                      { return p.r.Slabs[0].Dt }
-func (p runner2dProp) Close()                           {}
-
-// NewPropagator implements propagatorProvider for the serial backend.
-func (serialBackend) NewPropagator(cfg jet.Config, g *grid.Grid, opts Options) (Propagator, error) {
-	prob, err := resolveProblem(cfg, g, opts)
-	if err != nil {
-		return nil, err
-	}
-	s, err := solver.NewSerialProblemCFL(cfg, prob, g, opts.cfl())
-	if err != nil {
-		return nil, err
-	}
-	return slabProp{sl: s.Slab}, nil
-}
-
-// NewPropagator implements propagatorProvider for the shm backend.
-func (shmBackend) NewPropagator(cfg jet.Config, g *grid.Grid, opts Options) (Propagator, error) {
-	prob, err := resolveProblem(cfg, g, opts)
-	if err != nil {
-		return nil, err
-	}
-	s, err := shm.NewSolverProblem(cfg, prob, g, opts.procs())
-	if err != nil {
-		return nil, err
-	}
-	if opts.CFL != 0 {
-		s.Dt = s.StableDt(opts.CFL)
-	}
-	return slabProp{sl: s.Slab, closer: s.Close}, nil
-}
-
-// newAxialRunner is the shared runner construction of the mp and hybrid
-// propagators (mirroring their Run paths).
-func newAxialRunner(name string, cfg jet.Config, g *grid.Grid, opts Options, v par.Version) (*par.Runner, error) {
-	colw, _, err := resolveWeights(name, cfg, g, opts, opts.procs(), 0)
-	if err != nil {
-		return nil, err
-	}
-	prob, err := resolveProblem(cfg, g, opts)
-	if err != nil {
-		return nil, err
-	}
-	return par.NewRunner(cfg, g, par.Options{
-		Procs:       opts.procs(),
-		Version:     v,
-		Policy:      opts.Policy,
-		CFL:         opts.CFL,
-		ColWeights:  colw,
-		Prob:        prob,
-		ReduceGroup: opts.ReduceGroup,
-	})
-}
-
-// NewPropagator implements propagatorProvider for the mp backends.
-func (b mpBackend) NewPropagator(cfg jet.Config, g *grid.Grid, opts Options) (Propagator, error) {
-	v, err := resolveVersion(b.Name(), opts, b.version, b.version, b.version)
-	if err != nil {
-		return nil, err
-	}
-	r, err := newAxialRunner(b.Name(), cfg, g, opts, v)
-	if err != nil {
-		return nil, err
-	}
-	return runnerProp{r: r}, nil
-}
-
-// NewPropagator implements propagatorProvider for the hybrid backend.
-func (b hybridBackend) NewPropagator(cfg jet.Config, g *grid.Grid, opts Options) (Propagator, error) {
-	v, err := b.version(opts)
-	if err != nil {
-		return nil, err
-	}
-	r, err := newAxialRunner("hybrid", cfg, g, opts, v)
-	if err != nil {
-		return nil, err
-	}
-	workers := b.workers(opts)
-	pools := make([]*shm.Pool, len(r.Slabs))
-	for i, sl := range r.Slabs {
-		pools[i] = shm.NewPool(workers)
-		sl.Pool = pools[i]
-	}
-	return runnerProp{r: r, closer: func() {
-		for _, p := range pools {
-			p.Close()
-		}
-	}}, nil
-}
-
-// NewPropagator implements propagatorProvider for the mp2d backends.
-func (b mp2dBackend) NewPropagator(cfg jet.Config, g *grid.Grid, opts Options) (Propagator, error) {
-	o, err := b.options2D(cfg, g, opts)
-	if err != nil {
-		return nil, err
-	}
-	r, err := par.NewRunner2D(cfg, g, o)
-	if err != nil {
-		return nil, err
-	}
-	return runner2dProp{r: r}, nil
 }

@@ -10,9 +10,9 @@
 //	res, err := run.Execute()
 //
 // Backends are selected by name through the registry ("serial", "shm",
-// "mp:v5", "mp:v6", "mp:v7", "mp2d", "mp2d:v6", "hybrid"); the legacy Mode field maps onto
-// the same registry. See examples/ for complete programs and DESIGN.md
-// for the system inventory.
+// "mp:v5", "mp:v6", "mp:v7", "mp2d", "mp2d:v6", "hybrid", "parareal").
+// See examples/ for complete programs and DESIGN.md for the system
+// inventory.
 package core
 
 import (
@@ -33,34 +33,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Mode selects the execution configuration (legacy alternative to the
-// Backend name).
-type Mode int
-
-const (
-	// Serial runs the reference single-processor solver.
-	Serial Mode = iota
-	// MessagePassing runs one goroutine per rank with halo exchanges
-	// through the PVM-like message layer (the paper's distributed-memory
-	// parallelization).
-	MessagePassing
-	// SharedMemory runs DOALL loop parallelism (the paper's Cray Y-MP
-	// parallelization).
-	SharedMemory
-)
-
-func (m Mode) String() string {
-	switch m {
-	case Serial:
-		return "serial"
-	case MessagePassing:
-		return "message-passing"
-	case SharedMemory:
-		return "shared-memory"
-	}
-	return fmt.Sprintf("mode(%d)", int(m))
-}
-
 // Config describes one solver run. Zero values select the paper's
 // defaults (Navier-Stokes, grid 250x100, Version 5, Lagged halos).
 type Config struct {
@@ -79,14 +51,9 @@ type Config struct {
 	Steps int
 	// Backend names the execution backend in the internal/backend
 	// registry ("serial", "shm", "mp:v5", "mp:v6", "mp:v7", "mp2d",
-	// "mp2d:v6", "hybrid").
-	// When set it takes precedence over Mode/Version.
+	// "mp2d:v6", "hybrid", "parareal"). Empty selects "serial".
 	Backend string
-	// Mode: Serial, MessagePassing, or SharedMemory (legacy selector,
-	// used when Backend is empty).
-	Mode Mode
-	// Procs: ranks (MessagePassing, mp2d, hybrid) or workers
-	// (SharedMemory).
+	// Procs: ranks of the distributed backends, or workers of shm.
 	Procs int
 	// Workers: per-rank DOALL pool size (hybrid backend only; 0 picks a
 	// host-derived default).
@@ -95,10 +62,9 @@ type Config struct {
 	// Zero picks the surface-minimizing shape for Procs ranks.
 	Px, Pr int
 	// Version: communication strategy 5, 6 or 7. Zero means the
-	// backend's default. With the legacy MessagePassing mode it selects
-	// the mp:vN backend; with an explicit Backend it is passed to the
-	// registry, which rejects contradictions (e.g. Backend "mp:v5" with
-	// Version 6) and unimplemented strategies instead of ignoring it.
+	// backend's default. It is passed to the registry, which rejects
+	// contradictions (e.g. Backend "mp:v5" with Version 6) and
+	// unimplemented strategies instead of ignoring it.
 	Version int
 	// Balance selects the decomposition cost model of the distributed
 	// backends: "uniform" (default, balanced point counts), "flops"
@@ -194,25 +160,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// backendName resolves the registry name: the explicit Backend field,
-// or the legacy Mode/Version pair.
-func (c Config) backendName() (string, error) {
-	if c.Backend != "" {
-		return c.Backend, nil
+// backendName resolves the registry name (empty means serial).
+func (c Config) backendName() string {
+	if c.Backend == "" {
+		return "serial"
 	}
-	switch c.Mode {
-	case Serial:
-		return "serial", nil
-	case MessagePassing:
-		v := c.Version
-		if v == 0 {
-			v = 5
-		}
-		return fmt.Sprintf("mp:v%d", v), nil
-	case SharedMemory:
-		return "shm", nil
-	}
-	return "", fmt.Errorf("core: unknown mode %v", c.Mode)
+	return c.Backend
 }
 
 // jetConfig resolves the base physical configuration. The scenario has
@@ -255,9 +208,7 @@ func pinnedVersion(name string) (int, bool) {
 // result cache (internal/serve) keys on. Normalized here:
 //
 //   - zero-value defaults (grid, steps, procs) are filled in;
-//   - Mode/Backend aliasing: the resolved registry name is canonical
-//     and Mode is re-derived from it ({Mode: MessagePassing, Version: 7}
-//     becomes {Backend: "mp:v7"});
+//   - the empty Backend is named ("serial");
 //   - version aliasing: a version-pinned name implies its Version, and
 //     an explicit Version with a pinned sibling name moves onto it
 //     ({Backend: "mp2d", Version: 6} becomes {Backend: "mp2d:v6"});
@@ -288,16 +239,11 @@ func (c Config) Canonical() (Config, error) {
 		return Config{}, fmt.Errorf("core: half-specified rank grid (Px=%d, Pr=%d) with Procs unset; set both axes, or one axis plus Procs", c.Px, c.Pr)
 	}
 	c = c.withDefaults()
-	name, err := c.backendName()
-	if err != nil {
-		return Config{}, err
-	}
-	c.Backend = name
-	c.Mode = modeOf(name)
-	if v, ok := pinnedVersion(name); ok {
+	c.Backend = c.backendName()
+	if v, ok := pinnedVersion(c.Backend); ok {
 		c.Version = v
 	} else if c.Version != 0 {
-		alias := fmt.Sprintf("%s:v%d", name, c.Version)
+		alias := fmt.Sprintf("%s:v%d", c.Backend, c.Version)
 		if _, ok := backendRegistered(alias); ok {
 			c.Backend = alias
 		}
@@ -337,7 +283,6 @@ func (c Config) Canonical() (Config, error) {
 				c.FineBackend = c.Backend
 			}
 			c.Backend = "parareal"
-			c.Mode = modeOf(c.Backend)
 		}
 		if c.FineBackend == "" {
 			c.FineBackend = "serial"
@@ -402,13 +347,8 @@ type Result struct {
 	Backend string
 	// Scenario is the flow problem that ran ("jet" by default).
 	Scenario string
-	// Mode is the execution style of the backend that actually ran —
-	// derived from the resolved registry name, so an explicit Backend
-	// like "mp2d" reports MessagePassing even though the legacy Mode
-	// field was never set.
-	Mode   Mode
-	Procs  int
-	Px, Pr int // rank-grid shape (mp2d), 0 otherwise
+	Procs    int
+	Px, Pr   int // rank-grid shape (mp2d, mp2d:v6), 0 otherwise
 	// Steps is the number of composite steps actually run — fewer
 	// than Config.Steps when StopTol stopped the run early.
 	Steps int
@@ -427,23 +367,10 @@ type Result struct {
 	Defect     float64
 	Elapsed    time.Duration
 	Diag       solver.Diagnostics
-	Comm       trace.Counters    // aggregate communication (mp, mp2d, hybrid)
-	CommDir    trace.DirCounters // Comm split by exchange class (mp2d, reductions)
-	PerRank    []par.RankStats   // per-rank profile (mp, mp2d, hybrid)
+	Comm       trace.Counters    // aggregate communication (zero for a single slab)
+	CommDir    trace.DirCounters // Comm split by exchange class (axial, radial, reductions)
+	PerRank    []par.RankStats   // per-rank profile (nil for a single slab)
 	Momentum   [][]float64       // axial momentum field rho*u
-}
-
-// modeOf derives the reported execution mode from a resolved registry
-// name: the serial slab, the DOALL pool, or anything that exchanges
-// messages (mp, mp2d, and the hybrid ranks × DOALL composition).
-func modeOf(backendName string) Mode {
-	switch backendName {
-	case "serial":
-		return Serial
-	case "shm":
-		return SharedMemory
-	}
-	return MessagePassing
 }
 
 // Run lifecycle states (Run.state).
@@ -502,10 +429,7 @@ func NewRun(c Config) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, err := c.backendName()
-	if err != nil {
-		return nil, err
-	}
+	name := c.backendName()
 	fine := c.FineBackend
 	if c.TimeSlices > 1 && name != "parareal" {
 		// A spatial backend name with time slices means: run the
@@ -635,7 +559,6 @@ func (r *Run) Execute() (*Result, error) {
 	res := &Result{
 		Backend:    br.Backend,
 		Scenario:   br.Scenario,
-		Mode:       modeOf(br.Backend),
 		Procs:      br.Procs,
 		Px:         br.Px,
 		Pr:         br.Pr,

@@ -21,7 +21,7 @@ func TestSerialRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode != Serial || res.Steps != 10 || res.Dt <= 0 {
+	if res.Backend != "serial" || res.Steps != 10 || res.Dt <= 0 {
 		t.Fatalf("result: %+v", res)
 	}
 	if len(res.Momentum) != 64 || len(res.Momentum[0]) != 24 {
@@ -29,7 +29,8 @@ func TestSerialRun(t *testing.T) {
 	}
 }
 
-// All three modes must agree on the physics (bitwise for Fresh halos).
+// The serial, message-passing and shared-memory styles must agree on the
+// physics (bitwise for Fresh halos).
 func TestModesAgree(t *testing.T) {
 	ref, err := NewRun(small())
 	if err != nil {
@@ -39,9 +40,9 @@ func TestModesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []Mode{MessagePassing, SharedMemory} {
+	for _, mode := range []string{"mp:v5", "shm"} {
 		c := small()
-		c.Mode = mode
+		c.Backend = mode
 		c.Procs = 4
 		c.FreshHalos = true
 		run, err := NewRun(c)
@@ -68,7 +69,7 @@ func TestModesAgree(t *testing.T) {
 
 func TestMessagePassingReportsComm(t *testing.T) {
 	c := small()
-	c.Mode = MessagePassing
+	c.Backend = "mp:v5"
 	c.Procs = 4
 	run, err := NewRun(c)
 	if err != nil {
@@ -129,18 +130,14 @@ func TestDefaultsAndValidation(t *testing.T) {
 	if _, err := NewRun(Config{Nx: 4, Nr: 4}); err == nil {
 		t.Error("want error for tiny grid")
 	}
-	if _, err := NewRun(Config{Nx: 64, Nr: 24, Mode: Mode(9)}); err == nil {
-		t.Error("want error for unknown mode")
-	}
-	if _, err := NewRun(Config{Nx: 64, Nr: 24, Mode: MessagePassing, Procs: 32}); err == nil {
+	if _, err := NewRun(Config{Nx: 64, Nr: 24, Backend: "mp:v5", Procs: 32}); err == nil {
 		t.Error("want error for too many ranks")
 	}
 }
 
 // TestVersionReachesRegistry: Config.Version must feed the backend
-// registry with any Backend name — not only through the legacy
-// MessagePassing mode — and contradictions must be rejected at NewRun
-// time, not silently downgraded.
+// registry with any Backend name, and contradictions must be rejected
+// at NewRun time, not silently downgraded.
 func TestVersionReachesRegistry(t *testing.T) {
 	base := Config{Nx: 64, Nr: 24, Steps: 2, Procs: 2}
 	for _, name := range []string{"mp2d", "hybrid"} {
@@ -163,34 +160,26 @@ func TestVersionReachesRegistry(t *testing.T) {
 			t.Errorf("%s with Version %d: want contradiction error", c.Backend, c.Version)
 		}
 	}
-	// Legacy path: MessagePassing + Version still selects mp:vN without
-	// tripping the pin check.
+	// An empty Backend is serial, never a version-selected mp:vN.
 	c := base
-	c.Mode = MessagePassing
 	c.Version = 6
-	run, err := NewRun(c)
-	if err != nil {
-		t.Fatalf("legacy MessagePassing Version 6: %v", err)
-	}
-	if got := run.Backend().Name(); got != "mp:v6" {
-		t.Errorf("legacy mode resolved %q, want mp:v6", got)
+	if _, err := NewRun(c); err == nil {
+		t.Error("empty Backend with Version 6: want the serial backend's version rejection")
 	}
 }
 
-// TestModeReportsResolvedBackend is the regression test for the Mode
-// reporting bug: Execute used to echo Config.Mode (zero = Serial) even
-// when Config.Backend named a parallel backend. The reported mode must
-// derive from the backend that actually ran.
-func TestModeReportsResolvedBackend(t *testing.T) {
+// TestResultReportsResolvedBackend: the result names the backend that
+// actually ran, including the serial resolution of an empty Backend.
+func TestResultReportsResolvedBackend(t *testing.T) {
 	cases := []struct {
 		cfg  Config
-		want Mode
+		want string
 	}{
-		{Config{Nx: 64, Nr: 24, Steps: 2, Backend: "mp2d", Procs: 4}, MessagePassing},
-		{Config{Nx: 64, Nr: 24, Steps: 2, Backend: "hybrid", Procs: 2, Workers: 2}, MessagePassing},
-		{Config{Nx: 64, Nr: 24, Steps: 2, Backend: "shm", Procs: 2}, SharedMemory},
-		{Config{Nx: 64, Nr: 24, Steps: 2, Backend: "serial"}, Serial},
-		{Config{Nx: 64, Nr: 24, Steps: 2, Mode: SharedMemory, Procs: 2}, SharedMemory},
+		{Config{Nx: 64, Nr: 24, Steps: 2, Backend: "mp2d", Procs: 4}, "mp2d"},
+		{Config{Nx: 64, Nr: 24, Steps: 2, Backend: "hybrid", Procs: 2, Workers: 2}, "hybrid"},
+		{Config{Nx: 64, Nr: 24, Steps: 2, Backend: "shm", Procs: 2}, "shm"},
+		{Config{Nx: 64, Nr: 24, Steps: 2, Backend: "serial"}, "serial"},
+		{Config{Nx: 64, Nr: 24, Steps: 2, Procs: 2}, "serial"},
 	}
 	for _, c := range cases {
 		run, err := NewRun(c.cfg)
@@ -201,8 +190,8 @@ func TestModeReportsResolvedBackend(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", c.cfg, err)
 		}
-		if res.Mode != c.want {
-			t.Errorf("backend %q reported mode %v, want %v", res.Backend, res.Mode, c.want)
+		if res.Backend != c.want {
+			t.Errorf("%+v reported backend %q, want %q", c.cfg, res.Backend, c.want)
 		}
 	}
 }
@@ -258,19 +247,11 @@ func TestConvergedRunReportsActualSteps(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if Serial.String() != "serial" || MessagePassing.String() != "message-passing" || SharedMemory.String() != "shared-memory" {
-		t.Fatal("mode strings")
-	}
-}
-
 // TestBackendNameSelectsRegistry: the Backend field must route through
-// the internal/backend registry, take precedence over Mode, and
-// surface registry errors at NewRun.
+// the internal/backend registry and surface registry errors at NewRun.
 func TestBackendNameSelectsRegistry(t *testing.T) {
 	c := small()
 	c.Backend = "hybrid"
-	c.Mode = SharedMemory // must be overridden by Backend
 	c.Procs = 4
 	c.Workers = 2
 	run, err := NewRun(c)

@@ -168,7 +168,7 @@ func TestCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cc.Backend != "serial" || cc.Mode != Serial || cc.Scenario != "jet" {
+	if cc.Backend != "serial" || cc.Scenario != "jet" {
 		t.Fatalf("zero config canonicalized to %+v", cc)
 	}
 	if cc.Procs != 1 || cc.Workers != 0 {
@@ -181,8 +181,8 @@ func TestCanonical(t *testing.T) {
 		t.Fatal("balance not defaulted")
 	}
 
-	// Legacy Mode spelling and version-pinned names converge.
-	m := Config{Mode: MessagePassing, Version: 7, Procs: 2, Nx: 64, Nr: 24, Steps: 10}
+	// A redundant explicit Version and the version-pinned name converge.
+	m := Config{Backend: "mp:v7", Version: 7, Procs: 2, Nx: 64, Nr: 24, Steps: 10}
 	cm, err := m.Canonical()
 	if err != nil {
 		t.Fatal(err)
@@ -192,8 +192,8 @@ func TestCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cm.Backend != cn.Backend || cm.Version != cn.Version || cm.Mode != cn.Mode {
-		t.Fatalf("mode and pinned-name spellings diverge: %+v vs %+v", cm, cn)
+	if cm.Backend != cn.Backend || cm.Version != cn.Version {
+		t.Fatalf("explicit-version and pinned-name spellings diverge: %+v vs %+v", cm, cn)
 	}
 
 	// Explicit version folds onto the registered alias name.

@@ -35,7 +35,7 @@ const StoreFactor = 0.12
 // The paper's processors (Section 4). Clock rates and cache geometries
 // are quoted by the paper; penalties and CPIs are calibrated so the
 // RS6000/560 reproduces Figure 2's 9.3 -> 16.0 MFLOPS progression (see
-// cpu tests and EXPERIMENTS.md).
+// cpu tests and the F2-* claims of internal/study).
 var (
 	RS560 = Chip{
 		Name: "RS6000/560", ClockHz: 50e6, DCache: cache.RS560,

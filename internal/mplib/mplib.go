@@ -5,8 +5,9 @@
 // (rendezvous) send semantics.
 //
 // Costs are one-way user-process costs calibrated to mid-1990s
-// measurements of each library; see EXPERIMENTS.md for the calibration
-// discussion.
+// measurements of each library; the internal/study claims (printed by
+// cmd/figures) pin the platform orderings the calibration must
+// reproduce.
 package mplib
 
 // Model describes one message-passing library.

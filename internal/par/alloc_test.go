@@ -10,6 +10,18 @@ import (
 	"repro/internal/solver"
 )
 
+// axialPair is the 2×1 rank grid of the two-rank column-exchange tests:
+// only its neighbour relation matters to the halo, the local widths are
+// passed explicitly.
+func axialPair(t *testing.T) *decomp.Grid2D {
+	t.Helper()
+	d, err := decomp.NewGrid2D(16, 16, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // TestHaloExchangeSteadyStateAllocs locks in the allocation-free
 // exchange path: with the staging buffers sized at construction and the
 // message layer recycling payloads, a full two-rank halo exchange
@@ -20,8 +32,8 @@ func TestHaloExchangeSteadyStateAllocs(t *testing.T) {
 	for _, v := range []Version{V5, V7} {
 		t.Run(fmt.Sprintf("V%d", int(v)), func(t *testing.T) {
 			w := msg.NewWorld(2)
-			h0 := newRankHalo(w.Comm(0), 0, 2, n, nr, v, 0, solver.WallSpec{})
-			h1 := newRankHalo(w.Comm(1), 1, 2, n, nr, v, 0, solver.WallSpec{})
+			h0 := newRankHalo(w.Comm(0), axialPair(t), 0, n, nr, v, 0, solver.WallSpec{})
+			h1 := newRankHalo(w.Comm(1), axialPair(t), 1, n, nr, v, 0, solver.WallSpec{})
 			b0 := flux.NewState(n, nr)
 			b1 := flux.NewState(n, nr)
 			for k := range b0 {
@@ -55,8 +67,8 @@ func TestRadialExchangeSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := msg.NewWorld(2)
-	h0 := newRankHalo2D(w.Comm(0), d, 0, nx, nrLoc, V5, 0, solver.WallSpec{})
-	h1 := newRankHalo2D(w.Comm(1), d, 1, nx, nrLoc, V5, 0, solver.WallSpec{})
+	h0 := newRankHalo(w.Comm(0), d, 0, nx, nrLoc, V5, 0, solver.WallSpec{})
+	h1 := newRankHalo(w.Comm(1), d, 1, nx, nrLoc, V5, 0, solver.WallSpec{})
 	b0 := flux.NewState(nx, nrLoc)
 	b1 := flux.NewState(nx, nrLoc)
 	for k := range b0 {
@@ -101,8 +113,8 @@ func TestWeightedExchangeSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("profile did not skew the split: widths %v", d.Widths())
 	}
 	w := msg.NewWorld(2)
-	h0 := newRankHalo(w.Comm(0), 0, 2, w0, nr, V5, 0, solver.WallSpec{})
-	h1 := newRankHalo(w.Comm(1), 1, 2, w1, nr, V5, 0, solver.WallSpec{})
+	h0 := newRankHalo(w.Comm(0), axialPair(t), 0, w0, nr, V5, 0, solver.WallSpec{})
+	h1 := newRankHalo(w.Comm(1), axialPair(t), 1, w1, nr, V5, 0, solver.WallSpec{})
 	b0 := flux.NewState(w0, nr)
 	b1 := flux.NewState(w1, nr)
 	for k := range b0 {
@@ -139,8 +151,8 @@ func TestWeightedExchangeSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("row profile did not skew the split: heights %d, %d", nr0, nr1)
 	}
 	w2 := msg.NewWorld(2)
-	g0 := newRankHalo2D(w2.Comm(0), g2, 0, nx, nr0, V5, 0, solver.WallSpec{})
-	g1 := newRankHalo2D(w2.Comm(1), g2, 1, nx, nr1, V5, 0, solver.WallSpec{})
+	g0 := newRankHalo(w2.Comm(0), g2, 0, nx, nr0, V5, 0, solver.WallSpec{})
+	g1 := newRankHalo(w2.Comm(1), g2, 1, nx, nr1, V5, 0, solver.WallSpec{})
 	c0 := flux.NewState(nx, nr0)
 	c1 := flux.NewState(nx, nr1)
 	for k := range c0 {
@@ -211,7 +223,7 @@ func TestOverlappedExchangeSteadyStateAllocs(t *testing.T) {
 	halos := make([]*rankHalo, 4)
 	bufs := make([]*flux.State, 4)
 	for r := 0; r < 4; r++ {
-		halos[r] = newRankHalo2D(w.Comm(r), d, r, nx, nrLoc, V6, 0, solver.WallSpec{})
+		halos[r] = newRankHalo(w.Comm(r), d, r, nx, nrLoc, V6, 0, solver.WallSpec{})
 		bufs[r] = flux.NewState(nx, nrLoc)
 		for k := range bufs[r] {
 			bufs[r][k].FillAll(float64(r + 1))

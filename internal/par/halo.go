@@ -9,10 +9,10 @@ import (
 	"repro/internal/trace"
 )
 
-// rankHalo implements solver.Halo over the message layer for a rank of
-// either decomposition: the paper's axial-only split (left/right
-// neighbours, ghost columns) and the 2-D rank grid (additionally
-// down/up neighbours, ghost rows). Boundary columns are grouped into a
+// rankHalo implements solver.Halo over the message layer for one block
+// of the rank grid: ghost columns from the left/right neighbours, ghost
+// rows from the down/up neighbours (none on the paper's axial-only
+// Px×1 shape). Boundary columns are grouped into a
 // single send per neighbour per exchange (the paper's
 // startup-reduction optimization); Version 7 splits the axial flux
 // exchanges into one-column messages to reduce burstiness. The pack and
@@ -52,32 +52,15 @@ type rankHalo struct {
 	dir trace.DirCounters
 }
 
-// newRankHalo builds the halo of an axial-only rank: radial sides are
-// physical everywhere, so FillR degenerates to the serial
-// mirror/extrapolation. wall selects the scenario's solid-wall edge
-// treatment (zero value = jet).
-func newRankHalo(c *msg.Comm, rank, procs, n, nr int, v Version, ext int, wall solver.WallSpec) *rankHalo {
-	h := &rankHalo{comm: c, left: rank - 1, right: rank + 1, down: -1, up: -1, n: n, nr: nr, version: v, ext: ext}
-	if rank == 0 {
-		h.left = -1
-		h.edgeLeft = solver.EdgeHalo{Left: true, Wall: wall}
-	}
-	if rank == procs-1 {
-		h.right = -1
-		h.edgeRight = solver.EdgeHalo{Right: true, Wall: wall}
-	}
-	h.edgeBottom = solver.EdgeHalo{Bottom: true, Wall: wall}
-	h.edgeTop = solver.EdgeHalo{Top: true, Wall: wall}
-	h.sizeBuffers()
-	return h
-}
-
-// newRankHalo2D builds the halo of a 2-D rank-grid block: neighbour
-// exchange on interior sides in both directions, physical treatment on
-// domain edges. Exchanges are grouped in both directions (the Version 5
-// message shape, which Version 6 keeps — overlap changes when the
-// Start/Finish halves run, not what they carry).
-func newRankHalo2D(c *msg.Comm, d *decomp.Grid2D, rank, n, nr int, v Version, ext int, wall solver.WallSpec) *rankHalo {
+// newRankHalo builds the halo of one rank-grid block: neighbour exchange
+// on interior sides in both directions, physical treatment on domain
+// edges — so on a Px×1 shape, where every radial side is physical, FillR
+// degenerates to the serial mirror/extrapolation. Exchanges are grouped
+// in both directions (the Version 5 message shape, which Version 6 keeps
+// — overlap changes when the Start/Finish halves run, not what they
+// carry). wall selects the scenario's solid-wall edge treatment (zero
+// value = jet).
+func newRankHalo(c *msg.Comm, d *decomp.Grid2D, rank, n, nr int, v Version, ext int, wall solver.WallSpec) *rankHalo {
 	h := &rankHalo{comm: c, n: n, nr: nr, version: v, ext: ext}
 	h.left, h.right, h.down, h.up = d.Neighbors(rank)
 	h.edgeLeft = solver.EdgeHalo{Left: h.left < 0, Wall: wall}

@@ -11,7 +11,7 @@ import (
 // "measured" balance mode. A short run on a *uniform* decomposition
 // yields per-rank busy times; spreading each rank's busy time evenly
 // over its owned indices gives a piecewise-constant per-index cost
-// profile that decomp.WeightedAxial/WeightedRadial can re-balance. The
+// profile that decomp.WeightedGrid2D can re-balance. The
 // profile only steers which indices a rank owns — the physics is
 // partition-independent — so timer noise can cost efficiency, never
 // correctness.
@@ -39,43 +39,36 @@ func busyWeights(d *decomp.Decomposition, res *Result) []float64 {
 }
 
 // MeasuredColWeights runs a steps-long warm-up on a uniform axial
-// decomposition of up to procs ranks and returns the per-column cost
-// profile its busy times imply. nil (uniform) when the probe cannot
-// resolve a profile.
+// (probe×1) decomposition of up to procs ranks and returns the
+// per-column cost profile its busy times imply. nil (uniform) when the
+// probe cannot resolve a profile.
 func MeasuredColWeights(cfg jet.Config, g *grid.Grid, procs, steps int) ([]float64, error) {
-	probe := procs
-	if m := g.Nx / decomp.MinWidth; probe > m {
-		probe = m
-	}
-	if probe < 2 {
-		return nil, nil
-	}
-	if steps < 1 {
-		steps = 1
-	}
-	r, err := NewRunner(cfg, g, Options{Procs: probe, Policy: solver.Lagged})
-	if err != nil {
-		return nil, err
-	}
-	return busyWeights(r.Dec, r.Run(steps)), nil
+	return measuredWeights(cfg, g, procs, steps, false)
 }
 
-// MeasuredRowWeights is the radial analog: a 1-by-pr rank-grid warm-up
+// MeasuredRowWeights is the radial analog: a 1×probe rank-grid warm-up
 // whose per-rank busy times become a per-row cost profile.
 func MeasuredRowWeights(cfg jet.Config, g *grid.Grid, procs, steps int) ([]float64, error) {
-	probe := procs
-	if m := g.Nr / decomp.MinHeight; probe > m {
-		probe = m
+	return measuredWeights(cfg, g, procs, steps, true)
+}
+
+func measuredWeights(cfg jet.Config, g *grid.Grid, procs, steps int, radial bool) ([]float64, error) {
+	probe := min(procs, g.Nx/decomp.MinWidth)
+	opt := Options{Px: probe, Pr: 1, Policy: solver.Lagged}
+	if radial {
+		probe = min(procs, g.Nr/decomp.MinHeight)
+		opt.Px, opt.Pr = 1, probe
 	}
 	if probe < 2 {
 		return nil, nil
 	}
-	if steps < 1 {
-		steps = 1
-	}
-	r, err := NewRunner2D(cfg, g, Options2D{Px: 1, Pr: probe, Policy: solver.Lagged})
+	r, err := NewRunner(cfg, g, opt)
 	if err != nil {
 		return nil, err
 	}
-	return busyWeights(r.Dec.R, r.Run(steps)), nil
+	axis := r.Dec.X
+	if radial {
+		axis = r.Dec.R
+	}
+	return busyWeights(axis, r.Run(max(steps, 1))), nil
 }

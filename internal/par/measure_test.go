@@ -42,7 +42,7 @@ func TestMeasuredWeights(t *testing.T) {
 		t.Fatalf("single-rank probe: weights %v, err %v — want nil, nil", w, err)
 	}
 
-	r, err := NewRunner(cfg, g, Options{Procs: 3, Policy: solver.Fresh, ColWeights: col})
+	r, err := NewRunner(cfg, g, Options{Px: 3, Pr: 1, Policy: solver.Fresh, ColWeights: col})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 		ref := runSerial(t, cfg, g, steps)
 		for _, procs := range []int{1, 2, 3, 4, 8} {
 			for _, ver := range []Version{V5, V6, V7} {
-				r, err := NewRunner(cfg, g, Options{Procs: procs, Version: ver, Policy: solver.Fresh})
+				r, err := NewRunner(cfg, g, Options{Px: procs, Pr: 1, Version: ver, Policy: solver.Fresh})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -62,7 +62,7 @@ func TestLaggedPolicyAccuracy(t *testing.T) {
 	g := testGrid()
 
 	eRef := runSerial(t, jet.Euler(), g, steps)
-	r, err := NewRunner(jet.Euler(), g, Options{Procs: 4, Policy: solver.Lagged})
+	r, err := NewRunner(jet.Euler(), g, Options{Px: 4, Pr: 1, Policy: solver.Lagged})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestLaggedPolicyAccuracy(t *testing.T) {
 	}
 
 	nRef := runSerial(t, jet.Paper(), g, steps)
-	rn, err := NewRunner(jet.Paper(), g, Options{Procs: 4, Policy: solver.Lagged})
+	rn, err := NewRunner(jet.Paper(), g, Options{Px: 4, Pr: 1, Policy: solver.Lagged})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestStartupCountsMatchTable1(t *testing.T) {
 		{jet.Euler(), 12},
 	}
 	for _, c := range cases {
-		r, err := NewRunner(c.cfg, testGrid(), Options{Procs: 4, Policy: solver.Lagged})
+		r, err := NewRunner(c.cfg, testGrid(), Options{Px: 4, Pr: 1, Policy: solver.Lagged})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestVolumeMatchesTable1(t *testing.T) {
 		{jet.Euler(), 12},
 	}
 	for _, c := range cases {
-		r, err := NewRunner(c.cfg, g, Options{Procs: 4, Policy: solver.Lagged})
+		r, err := NewRunner(c.cfg, g, Options{Px: 4, Pr: 1, Policy: solver.Lagged})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,11 +159,11 @@ func TestVolumeMatchesTable1(t *testing.T) {
 func TestVersion7Startups(t *testing.T) {
 	const steps = 4
 	g := testGrid()
-	r5, err := NewRunner(jet.Paper(), g, Options{Procs: 4, Version: V5, Policy: solver.Lagged})
+	r5, err := NewRunner(jet.Paper(), g, Options{Px: 4, Pr: 1, Version: V5, Policy: solver.Lagged})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r7, err := NewRunner(jet.Paper(), g, Options{Procs: 4, Version: V7, Policy: solver.Lagged})
+	r7, err := NewRunner(jet.Paper(), g, Options{Px: 4, Pr: 1, Version: V7, Policy: solver.Lagged})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,19 +181,19 @@ func TestVersion7Startups(t *testing.T) {
 
 func TestRunnerValidation(t *testing.T) {
 	g := testGrid()
-	if _, err := NewRunner(jet.Paper(), g, Options{Procs: 0}); err == nil {
+	if _, err := NewRunner(jet.Paper(), g, Options{Px: 0, Pr: 1}); err == nil {
 		t.Error("want error for zero ranks")
 	}
-	if _, err := NewRunner(jet.Paper(), g, Options{Procs: 64}); err == nil {
+	if _, err := NewRunner(jet.Paper(), g, Options{Px: 64, Pr: 1}); err == nil {
 		t.Error("want error for slabs below stencil width")
 	}
-	if _, err := NewRunner(jet.Paper(), g, Options{Procs: 2, Version: Version(9)}); err == nil {
+	if _, err := NewRunner(jet.Paper(), g, Options{Px: 2, Pr: 1, Version: Version(9)}); err == nil {
 		t.Error("want error for unknown version")
 	}
 }
 
 func TestLoadBalanceNearPerfect(t *testing.T) {
-	r, err := NewRunner(jet.Paper(), testGrid(), Options{Procs: 8, Policy: solver.Lagged})
+	r, err := NewRunner(jet.Paper(), testGrid(), Options{Px: 8, Pr: 1, Policy: solver.Lagged})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,53 +1,20 @@
 package par
 
 import (
+	"strings"
 	"testing"
 
-	"repro/internal/flux"
 	"repro/internal/grid"
 	"repro/internal/jet"
 	"repro/internal/solver"
 )
 
-// TestRunner2DDegeneratesToAxial: a pr=1 rank grid must reproduce the
-// axial Runner (Version 5) bitwise — same blocks, same exchanges, same
-// arithmetic.
-func TestRunner2DDegeneratesToAxial(t *testing.T) {
-	g := grid.MustNew(64, 26, 50, 5)
-	cfg := jet.Paper()
-	const steps = 4
-	r1, err := NewRunner(cfg, g, Options{Procs: 3, Policy: solver.Fresh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := NewRunner2D(cfg, g, Options2D{Px: 3, Pr: 1, Policy: solver.Fresh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1 := r1.Run(steps)
-	res2 := r2.Run(steps)
-	if res1.Dt != res2.Dt {
-		t.Fatalf("dt %g != %g", res2.Dt, res1.Dt)
-	}
-	s1, s2 := r1.GatherState(), r2.GatherState()
-	for k := 0; k < flux.NVar; k++ {
-		if !s1[k].Equal(s2[k]) {
-			t.Errorf("component %d differs (max %g)", k, s1[k].MaxAbsDiff(s2[k]))
-		}
-	}
-	// With no radial neighbours every message is axial.
-	dir := res2.Ranks[1].Dir
-	if dir.Radial.Startups != 0 || dir.Axial.Startups == 0 {
-		t.Fatalf("pr=1 rank direction split: %+v", dir)
-	}
-}
-
-// TestRunner2DLaggedRuns: the lagged policy must run the 2-D exchange
+// TestRankGridLaggedRuns: the lagged policy must run the 2-D exchange
 // schedule to completion (no deadlock, no divergence) on an uneven
 // shape, with both directions active.
-func TestRunner2DLaggedRuns(t *testing.T) {
+func TestRankGridLaggedRuns(t *testing.T) {
 	g := grid.MustNew(48, 26, 50, 5)
-	r, err := NewRunner2D(jet.Paper(), g, Options2D{Px: 2, Pr: 3, Policy: solver.Lagged})
+	r, err := NewRunner(jet.Paper(), g, Options{Px: 2, Pr: 3, Policy: solver.Lagged})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,19 +41,29 @@ func TestRunner2DLaggedRuns(t *testing.T) {
 	}
 }
 
-// TestRunner2DVersions: the 2-D runner accepts V5 and V6 (defaulting
-// V5), rejects V7 (de-burst is axial-only) and unknown strategies, and
+// TestRankGridVersions: the runner accepts V5 and V6 (defaulting V5) on
+// every shape, V7 (de-burst is axial-only) iff Pr == 1, rejects unknown
+// strategies, and
 // under V6 keeps the exact V5 message budget — the overlap changes when
 // the Start/Finish halves run, not what they carry.
-func TestRunner2DVersions(t *testing.T) {
+func TestRankGridVersions(t *testing.T) {
 	g := grid.MustNew(48, 26, 50, 5)
-	if _, err := NewRunner2D(jet.Paper(), g, Options2D{Px: 2, Pr: 2, Version: V7}); err == nil {
-		t.Error("V7 must be rejected on the 2-D decomposition")
+	_, err := NewRunner(jet.Paper(), g, Options{Px: 2, Pr: 2, Version: V7})
+	if err == nil || !strings.Contains(err.Error(), "Version 7 (de-burst flux messages) is defined for the axial decomposition only") {
+		t.Errorf("V7 on Pr > 1: got %v, want the axial-only rejection", err)
 	}
-	if _, err := NewRunner2D(jet.Paper(), g, Options2D{Px: 2, Pr: 2, Version: Version(9)}); err == nil {
+	r7, err := NewRunner(jet.Paper(), g, Options{Px: 3, Pr: 1, Version: V7})
+	if err != nil {
+		t.Fatalf("V7 must be accepted on a Px×1 shape: %v", err)
+	}
+	// With no radial neighbours every message is axial.
+	if dir := r7.Run(2).Ranks[1].Dir; dir.Radial.Startups != 0 || dir.Axial.Startups == 0 {
+		t.Errorf("Px×1 direction split: %+v", dir)
+	}
+	if _, err := NewRunner(jet.Paper(), g, Options{Px: 2, Pr: 2, Version: Version(9)}); err == nil {
 		t.Error("unknown version must be rejected")
 	}
-	r, err := NewRunner2D(jet.Paper(), g, Options2D{Px: 2, Pr: 2})
+	r, err := NewRunner(jet.Paper(), g, Options{Px: 2, Pr: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +72,7 @@ func TestRunner2DVersions(t *testing.T) {
 	}
 	const steps = 4
 	res5 := r.Run(steps)
-	r6, err := NewRunner2D(jet.Paper(), g, Options2D{Px: 2, Pr: 2, Version: V6})
+	r6, err := NewRunner(jet.Paper(), g, Options{Px: 2, Pr: 2, Version: V6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,29 +92,29 @@ func TestRunner2DVersions(t *testing.T) {
 	}
 }
 
-// TestRunner2DShapeResolution: explicit, derived, and automatic shapes.
-func TestRunner2DShapeResolution(t *testing.T) {
+// TestRankGridShapeResolution: explicit, derived, and automatic shapes.
+func TestRankGridShapeResolution(t *testing.T) {
 	g := grid.MustNew(64, 26, 50, 5)
-	r, err := NewRunner2D(jet.Paper(), g, Options2D{Procs: 6, Px: 3})
+	r, err := NewRunner(jet.Paper(), g, Options{Procs: 6, Px: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Opt.Px != 3 || r.Opt.Pr != 2 {
 		t.Fatalf("derived shape %dx%d, want 3x2", r.Opt.Px, r.Opt.Pr)
 	}
-	if _, err := NewRunner2D(jet.Paper(), g, Options2D{Procs: 7, Px: 2}); err == nil {
+	if _, err := NewRunner(jet.Paper(), g, Options{Procs: 7, Px: 2}); err == nil {
 		t.Fatal("px=2 cannot divide 7 ranks")
 	}
-	if _, err := NewRunner2D(jet.Paper(), g, Options2D{Procs: 8, Px: 2, Pr: 2}); err == nil {
+	if _, err := NewRunner(jet.Paper(), g, Options{Procs: 8, Px: 2, Pr: 2}); err == nil {
 		t.Fatal("a 2x2 shape must not silently satisfy a request for 8 ranks")
 	}
-	if _, err := NewRunner2D(jet.Paper(), g, Options2D{Px: 2}); err == nil {
+	if _, err := NewRunner(jet.Paper(), g, Options{Px: 2}); err == nil {
 		t.Fatal("px without procs cannot derive a shape")
 	}
-	if r, err := NewRunner2D(jet.Paper(), g, Options2D{Px: 2, Pr: 2}); err != nil || r.Opt.Procs != 4 {
+	if r, err := NewRunner(jet.Paper(), g, Options{Px: 2, Pr: 2}); err != nil || r.Opt.Procs != 4 {
 		t.Fatalf("explicit shape alone must run px*pr ranks: %v", err)
 	}
-	r, err = NewRunner2D(jet.Paper(), g, Options2D{Procs: 4})
+	r, err = NewRunner(jet.Paper(), g, Options{Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,8 +57,8 @@ func TestWideExchangeSteadyStateAllocs(t *testing.T) {
 	const core, nr, ext = 8, 16, 4
 	n := core + ext // one interior side each
 	w := msg.NewWorld(2)
-	h0 := newRankHalo(w.Comm(0), 0, 2, n, nr, V5, ext, solver.WallSpec{})
-	h1 := newRankHalo(w.Comm(1), 1, 2, n, nr, V5, ext, solver.WallSpec{})
+	h0 := newRankHalo(w.Comm(0), axialPair(t), 0, n, nr, V5, ext, solver.WallSpec{})
+	h1 := newRankHalo(w.Comm(1), axialPair(t), 1, n, nr, V5, ext, solver.WallSpec{})
 	b0 := flux.NewState(n, nr)
 	b1 := flux.NewState(n, nr)
 	for k := range b0 {

@@ -15,7 +15,7 @@ import (
 // Key returns the cache identity of a configuration: the SHA-256 of its
 // canonical form. Two configs that Canonical maps onto the same
 // normalized run share a key — and therefore a cache line — however
-// they were spelled (legacy Mode vs registry name, implied defaults,
+// they were spelled (version aliases of a registry name, implied defaults,
 // scenario-pinned physics).
 func Key(c core.Config) (string, error) {
 	cc, err := c.Canonical()
@@ -34,6 +34,9 @@ func keyOf(c core.Config) string {
 		c.Scenario, c.Backend, c.Nx, c.Nr, c.Steps, c.Procs, c.Workers, c.Px, c.Pr,
 		c.Version, c.Balance, c.FreshHalos, c.HaloDepth, c.ReduceGroup,
 		math.Float64bits(c.StopTol), c.ReduceEvery)
+	fmt.Fprintf(&b, "|steady=%x|slices=%d|iters=%d|coarse=%d|defect=%x|fine=%s",
+		math.Float64bits(c.SteadyTol), c.TimeSlices, c.PararealIters, c.CoarseFactor,
+		math.Float64bits(c.DefectTol), c.FineBackend)
 	j := *c.Jet // canonical configs always carry the resolved physics
 	fmt.Fprintf(&b, "|jet=%x,%x,%x,%x,%x,%x,%x,%t",
 		math.Float64bits(j.MachCenter), math.Float64bits(j.TempRatio),

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -314,8 +315,8 @@ func TestBadConfigFails(t *testing.T) {
 func TestKeyAliasing(t *testing.T) {
 	// Each pair must produce one key.
 	same := [][2]core.Config{
-		{{Mode: core.MessagePassing, Version: 7, Procs: 2, Nx: 64, Nr: 24, Steps: 5},
-			{Backend: "mp:v7", Procs: 2, Nx: 64, Nr: 24, Steps: 5}},
+		{{Procs: 4, Nx: 64, Nr: 24, Steps: 5}, // empty Backend is serial: one slab whatever the width
+			{Backend: "serial", Nx: 64, Nr: 24, Steps: 5}},
 		{{Backend: "mp2d", Version: 6, Procs: 4, Nx: 64, Nr: 24, Steps: 5},
 			{Backend: "mp2d:v6", Procs: 4, Nx: 64, Nr: 24, Steps: 5}},
 		{{Scenario: "cavity", Euler: true, Nx: 33, Nr: 32, Steps: 5},
@@ -354,6 +355,36 @@ func TestKeyAliasing(t *testing.T) {
 	// Contradictions canonicalize to errors, not keys.
 	if _, err := Key(core.Config{Nx: 64, Nr: 24, FreshHalos: true, HaloDepth: 2}); err == nil {
 		t.Error("contradictory halo spec produced a key")
+	}
+}
+
+// TestKeyCoversRunFields is the regression test for the cache-aliasing
+// bug: keyOf omitted the steadiness tolerance and every parallel-in-time
+// field, so jobs differing only in those were served one another's
+// fields. Perturbing each on an otherwise-equal canonical config must
+// change the key.
+func TestKeyCoversRunFields(t *testing.T) {
+	base, err := core.Config{Nx: 64, Nr: 24, Steps: 8, Backend: "mp2d", Procs: 2,
+		TimeSlices: 2, PararealIters: 1, CoarseFactor: 2, DefectTol: 1e-3}.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		field   string
+		perturb func(*core.Config)
+	}{
+		{"SteadyTol", func(c *core.Config) { c.SteadyTol = 1e-3 }},
+		{"TimeSlices", func(c *core.Config) { c.TimeSlices = 4 }},
+		{"PararealIters", func(c *core.Config) { c.PararealIters = 2 }},
+		{"CoarseFactor", func(c *core.Config) { c.CoarseFactor = 1 }},
+		{"DefectTol", func(c *core.Config) { c.DefectTol = math.Nextafter(c.DefectTol, 1) }},
+		{"FineBackend", func(c *core.Config) { c.FineBackend = "hybrid" }},
+	} {
+		other := base
+		c.perturb(&other)
+		if keyOf(other) == keyOf(base) {
+			t.Errorf("configs differing only in %s share a cache key", c.field)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // Claim is one of the paper's findings, checked mechanically against
-// the reproduction. EXPERIMENTS.md is generated from these.
+// the reproduction. cmd/figures prints the verification pass over these.
 type Claim struct {
 	ID        string
 	Statement string // the paper's claim
@@ -256,7 +256,7 @@ func Claims() []Claim {
 				sp, _ := seriesByName(ss, machine.SPMPL.Name)
 				// Reproduced through P=12; beyond that the ALLNODE
 				// flattening the paper itself predicts lets the SP's
-				// scalable switch catch up (see EXPERIMENTS.md).
+				// scalable switch catch up.
 				ok := true
 				for i := range an.X {
 					if an.X[i] > 12 {

@@ -3,7 +3,7 @@ package study
 import "testing"
 
 // TestClaims checks every mechanically verifiable finding of the paper
-// against the reproduction. This is the EXPERIMENTS.md backbone.
+// against the reproduction (cmd/figures prints the same pass/fail list).
 func TestClaims(t *testing.T) {
 	for _, c := range Claims() {
 		c := c

@@ -67,7 +67,7 @@ func Table1() ([]Table1Row, error) {
 		// step are grid-size independent; bytes scale with Nr).
 		const steps = 4
 		g := grid.MustNew(64, 32, 50, 5)
-		r, err := par.NewRunner(cfg, g, par.Options{Procs: 4, Policy: solver.Lagged})
+		r, err := par.NewRunner(cfg, g, par.Options{Px: 4, Pr: 1, Policy: solver.Lagged})
 		if err != nil {
 			return nil, err
 		}

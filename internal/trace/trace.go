@@ -109,7 +109,7 @@ func WideExtension(viscous bool, depth int) int {
 // only; the 1995 Fortran measurement includes address and loop
 // overhead); the platform simulator uses the paper characterization so
 // simulated seconds are comparable with the paper's figures, and
-// EXPERIMENTS.md reports both.
+// study.Table1Report prints both.
 func PaperFlopsPerPoint(viscous bool) float64 {
 	const points = 250 * 100
 	const steps = 5000
