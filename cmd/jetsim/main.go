@@ -47,88 +47,49 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("jetsim: ")
-	var (
-		nx        = flag.Int("nx", 125, "axial grid nodes")
-		nr        = flag.Int("nr", 50, "radial grid nodes")
-		steps     = flag.Int("steps", 500, "composite time steps")
-		euler     = flag.Bool("euler", false, "solve the Euler equations instead of Navier-Stokes")
-		name      = flag.String("backend", "serial", "execution backend: "+strings.Join(backend.Names(), ", "))
-		scen      = flag.String("scenario", "", "flow scenario: "+strings.Join(scenario.Names(), ", ")+" (empty = jet; cavity/channel pin their own physics, so -euler applies to the jet only)")
-		procs     = flag.Int("procs", 4, "ranks (mp, mp2d, hybrid) or workers (shm)")
-		workers   = flag.Int("workers", 0, "per-rank DOALL workers (hybrid; 0 = host default)")
-		px        = flag.Int("px", 0, "axial rank-grid width (mp2d; 0 = auto near-square)")
-		pr        = flag.Int("pr", 0, "radial rank-grid height (mp2d; 0 = auto near-square)")
-		version   = flag.Int("version", 0, "communication strategy 5, 6, or 7 (0 = backend default); contradicting a version-pinned backend name is an error")
-		balance   = flag.String("balance", "", "decomposition cost model: uniform, flops, or measured (distributed backends; empty = uniform)")
-		tol       = flag.Float64("tol", 0, "stop tolerance on the global L2 residual (0 = march -steps fixed)")
-		reduce    = flag.Int("reduce-every", 0, "residual-reduction cadence in steps (0 = every step when -tol is set)")
-		fresh     = flag.Bool("fresh", false, "exact halo policy (bitwise serial equivalence)")
-		haloDepth = flag.Int("halo-depth", 0, "communication-avoiding halo depth k: exchange every k-th step over a redundant ghost shell, bitwise-identical to serial (distributed backends; 0 = per-stage policy, 1 = fresh)")
-		reduceGrp = flag.Int("reduce-group", 0, "hierarchical allreduce node size: intra-node combine, leaders-only cross-node plan (distributed backends; 0 or 1 = flat)")
-		steadyTol = flag.Float64("steady-tol", 0, "stop tolerance on velocity steadiness max(|du|,|dv|)/dt — the closed-flow criterion (e.g. cavity); mutually exclusive with -tol (0 = march -steps fixed)")
-		slices    = flag.Int("time-slices", 0, "parareal time slices K: [0,-steps] splits into K slices propagated in parallel over time, -backend becoming the fine propagator of each (0 or 1 = pure spatial run)")
-		pIters    = flag.Int("parareal-iters", 0, "parareal correction iterations: 0 = adaptive on -defect-tol capped at K, K = exact schedule, bitwise equal to the fine run end to end")
-		coarseF   = flag.Int("coarse-factor", 0, "parareal coarse-propagator grid/time-step coarsening (0 = default 2; 1 = the fine operator itself, every sweep exact)")
-		defectTol = flag.Float64("defect-tol", 0, "adaptive parareal stopping tolerance on the slice-boundary L2 defect between successive iterates (0 = default 1e-6)")
-		fine      = flag.String("fine", "", "parareal fine-propagator backend (empty = the spatial -backend, or serial)")
-		contour   = flag.Bool("contour", false, "print an ASCII contour of axial momentum")
-		pgm       = flag.String("pgm", "", "write axial momentum as a PGM image to this path")
-	)
+	// The flags bind straight into the run description: core.Config is
+	// the only spelling of a run, and Config.Canonical (inside NewRun)
+	// the only place it is folded and judged — "-backend mp2d -version
+	// 6" selects the overlapped strategy, a serial run is one slab
+	// whatever -procs says, and a contradiction like "-backend mp:v5
+	// -version 6" is rejected by the registry instead of ignored.
+	var cfg core.Config
+	flag.IntVar(&cfg.Nx, "nx", 125, "axial grid nodes")
+	flag.IntVar(&cfg.Nr, "nr", 50, "radial grid nodes")
+	flag.IntVar(&cfg.Steps, "steps", 500, "composite time steps")
+	flag.BoolVar(&cfg.Euler, "euler", false, "solve the Euler equations instead of Navier-Stokes")
+	flag.StringVar(&cfg.Backend, "backend", "serial", "execution backend: "+strings.Join(backend.Names(), ", "))
+	flag.StringVar(&cfg.Scenario, "scenario", "", "flow scenario: "+strings.Join(scenario.Names(), ", ")+" (empty = jet; cavity/channel pin their own physics, so -euler applies to the jet only)")
+	flag.IntVar(&cfg.Procs, "procs", 4, "ranks (mp, mp2d, hybrid) or workers (shm)")
+	flag.IntVar(&cfg.Workers, "workers", 0, "per-rank DOALL workers (hybrid; 0 = host default)")
+	flag.IntVar(&cfg.Px, "px", 0, "axial rank-grid width (mp2d; 0 = auto near-square)")
+	flag.IntVar(&cfg.Pr, "pr", 0, "radial rank-grid height (mp2d; 0 = auto near-square)")
+	flag.IntVar(&cfg.Version, "version", 0, "communication strategy 5, 6, or 7 (0 = backend default); contradicting a version-pinned backend name is an error")
+	flag.StringVar(&cfg.Balance, "balance", "", "decomposition cost model: uniform, flops, or measured (distributed backends; empty = uniform)")
+	flag.Float64Var(&cfg.StopTol, "tol", 0, "stop tolerance on the global L2 residual (0 = march -steps fixed)")
+	flag.IntVar(&cfg.ReduceEvery, "reduce-every", 0, "residual-reduction cadence in steps (0 = every step when -tol is set)")
+	flag.BoolVar(&cfg.FreshHalos, "fresh", false, "exact halo policy (bitwise serial equivalence)")
+	flag.IntVar(&cfg.HaloDepth, "halo-depth", 0, "communication-avoiding halo depth k: exchange every k-th step over a redundant ghost shell, bitwise-identical to serial (distributed backends; 0 = per-stage policy, 1 = fresh)")
+	flag.IntVar(&cfg.ReduceGroup, "reduce-group", 0, "hierarchical allreduce node size: intra-node combine, leaders-only cross-node plan (distributed backends; 0 or 1 = flat)")
+	flag.Float64Var(&cfg.SteadyTol, "steady-tol", 0, "stop tolerance on velocity steadiness max(|du|,|dv|)/dt — the closed-flow criterion (e.g. cavity); mutually exclusive with -tol (0 = march -steps fixed)")
+	flag.IntVar(&cfg.TimeSlices, "time-slices", 0, "parareal time slices K: [0,-steps] splits into K slices propagated in parallel over time, -backend becoming the fine propagator of each (0 or 1 = pure spatial run)")
+	flag.IntVar(&cfg.PararealIters, "parareal-iters", 0, "parareal correction iterations: 0 = adaptive on -defect-tol capped at K, K = exact schedule, bitwise equal to the fine run end to end")
+	flag.IntVar(&cfg.CoarseFactor, "coarse-factor", 0, "parareal coarse-propagator grid/time-step coarsening (0 = default 2; 1 = the fine operator itself, every sweep exact)")
+	flag.Float64Var(&cfg.DefectTol, "defect-tol", 0, "adaptive parareal stopping tolerance on the slice-boundary L2 defect between successive iterates (0 = default 1e-6)")
+	flag.StringVar(&cfg.FineBackend, "fine", "", "parareal fine-propagator backend (empty = the spatial -backend, or serial)")
+	contour := flag.Bool("contour", false, "print an ASCII contour of axial momentum")
+	pgm := flag.String("pgm", "", "write axial momentum as a PGM image to this path")
 	flag.Parse()
 
-	explicitProcs := false
-	explicitHalo := false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "procs":
-			explicitProcs = true
-		case "reduce-every":
-			if *reduce <= 0 {
-				log.Fatalf("-reduce-every must be a positive cadence in steps, got %d", *reduce)
-			}
-		case "halo-depth":
-			explicitHalo = true
-		case "reduce-group":
-			if *reduceGrp < 1 {
-				log.Fatalf("-reduce-group must be >= 1 (1 = flat allreduce), got %d", *reduceGrp)
-			}
-		}
-	})
-	if err := cliutil.ValidateHaloFlags(*fresh, *haloDepth, explicitHalo); err != nil {
+	if err := cliutil.CheckExplicit(flag.CommandLine); err != nil {
 		log.Fatal(err)
 	}
-	// -version feeds the registry options with every backend: "-backend
-	// mp2d -version 6" selects the overlapped strategy, and a
-	// contradiction like "-backend mp:v5 -version 6" is rejected by the
-	// registry instead of ignored.
-	cfg := core.Config{
-		Scenario: *scen,
-		Euler:    *euler, Nx: *nx, Nr: *nr, Steps: *steps,
-		Backend: *name, Procs: *procs, Workers: *workers, Px: *px, Pr: *pr,
-		Version:     *version,
-		Balance:     *balance,
-		FreshHalos:  *fresh,
-		HaloDepth:   *haloDepth,
-		ReduceGroup: *reduceGrp,
-		StopTol:     *tol,
-		ReduceEvery: *reduce,
-		SteadyTol:   *steadyTol,
-
-		TimeSlices:    *slices,
-		PararealIters: *pIters,
-		CoarseFactor:  *coarseF,
-		DefectTol:     *defectTol,
-		FineBackend:   *fine,
-	}
-	if *px > 0 && *pr > 0 && !explicitProcs {
+	explicitProcs := false
+	flag.Visit(func(f *flag.Flag) { explicitProcs = explicitProcs || f.Name == "procs" })
+	if cfg.Px > 0 && cfg.Pr > 0 && !explicitProcs {
 		// An explicit rank-grid shape defines the width; only an
 		// explicitly contradicting -procs should error downstream.
 		cfg.Procs = 0
-	}
-	if cfg.Backend == "serial" && cfg.FineBackend == "" {
-		// With -fine set the default-serial spelling names only the
-		// coordinator; the fine propagator keeps its -procs width.
-		cfg.Procs = 1
 	}
 
 	run, err := core.NewRun(cfg)
@@ -146,7 +107,7 @@ func main() {
 		shape = fmt.Sprintf(" ranks=%dx%d", res.Px, res.Pr)
 	}
 	fmt.Printf("scenario=%s backend=%s procs=%d%s grid=%dx%d steps=%d dt=%.4g elapsed=%s\n",
-		res.Scenario, res.Backend, res.Procs, shape, *nx, *nr, res.Steps, res.Dt, res.Elapsed.Round(1e6))
+		res.Scenario, res.Backend, res.Procs, shape, cfg.Nx, cfg.Nr, res.Steps, res.Dt, res.Elapsed.Round(1e6))
 	d := res.Diag
 	fmt.Printf("mass=%.6f energy=%.6f max|v|=%.4g minRho=%.4g minP=%.4g\n",
 		d.Mass, d.Energy, d.MaxV, d.MinRho, d.MinP)
@@ -163,14 +124,14 @@ func main() {
 			res.TimeSlices, res.Iterations, res.Defect, state)
 	} else if n := len(res.Residuals); n > 0 {
 		last := res.Residuals[n-1]
-		crit, lim := "residual", *tol
-		if *steadyTol > 0 {
-			crit, lim = "steadiness", *steadyTol
+		crit, lim := "residual", cfg.StopTol
+		if cfg.SteadyTol > 0 {
+			crit, lim = "steadiness", cfg.SteadyTol
 		}
 		if res.Converged {
 			fmt.Printf("converged at step %d: %s %.4g <= tol %.4g\n", res.Steps, crit, last.Residual, lim)
 		} else {
-			every := *reduce
+			every := cfg.ReduceEvery
 			if every == 0 {
 				every = 1 // the controller's default when only a tolerance is set
 			}

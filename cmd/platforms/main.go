@@ -52,74 +52,61 @@ func allPlatforms() []machine.Platform {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("platforms: ")
-	var (
-		euler     = flag.Bool("euler", false, "Euler workload instead of Navier-Stokes")
-		version   = flag.Int("version", 0, "communication strategy: 5, 6, or 7 (0 = Version 5 for the co-simulation, backend default for the measured host run)")
-		name      = flag.String("platform", "", "run a single platform by name")
-		procs     = flag.Int("procs", 0, "run a single processor count (0 = sweep)")
-		chart     = flag.Bool("chart", true, "draw log-scale ASCII chart")
-		real      = flag.String("backend", "", "also measure a real host run through the backend registry: "+strings.Join(backend.Names(), ", "))
-		scen      = flag.String("scenario", "", "flow scenario of the measured host run: "+strings.Join(scenario.Names(), ", ")+" (empty = jet; the co-simulation always replays the paper's jet traces)")
-		balance   = flag.String("balance", "", "decomposition cost model of the measured host run: uniform, flops, or measured")
-		tol       = flag.Float64("tol", 0, "stop tolerance of the measured host run (0 = fixed -steps)")
-		reduce    = flag.Int("reduce-every", 0, "global-reduction cadence in steps: costs the collective on the co-simulated platforms and monitors the measured host run")
-		fresh     = flag.Bool("fresh", false, "exact per-stage halo policy for the measured host run (bitwise serial equivalence); contradicts -halo-depth k > 1")
-		haloDepth = flag.Int("halo-depth", 0, "communication-avoiding halo depth k: the co-simulated ranks exchange every k-th step over a redundant shell, and the measured host run uses the Wide(k) policy (0 = per-stage exchange)")
-		reduceGrp = flag.Int("reduce-group", 0, "hierarchical allreduce node size: leaders-only cross-node plan on the co-simulated platforms and the measured host run (0 or 1 = flat)")
-		slices    = flag.Int("time-slices", 0, "parareal time slices K: price the parallel-in-time schedule on the co-simulated platforms (procs splitting into K slice groups) and run it on the measured host (0 or 1 = pure spatial)")
-		pIters    = flag.Int("parareal-iters", 0, "parareal correction iterations the schedule pays for (0 = the worst-case K)")
-		coarseF   = flag.Int("coarse-factor", 0, "parareal coarse-propagator coarsening (0 = default 2)")
-		nx        = flag.Int("nx", 125, "grid for the measured host run (with -backend)")
-		nr        = flag.Int("nr", 50, "grid for the measured host run (with -backend)")
-		steps     = flag.Int("steps", 100, "composite steps for the measured host run (with -backend)")
-	)
+	// The flags that describe the measured host run bind straight into
+	// its core.Config (the co-simulation reads the same fields below);
+	// -procs stays outside it — it selects one point of the sweep.
+	var host core.Config
+	flag.BoolVar(&host.Euler, "euler", false, "Euler workload instead of Navier-Stokes")
+	flag.IntVar(&host.Version, "version", 0, "communication strategy: 5, 6, or 7 (0 = Version 5 for the co-simulation, backend default for the measured host run)")
+	name := flag.String("platform", "", "run a single platform by name")
+	procs := flag.Int("procs", 0, "run a single processor count (0 = sweep)")
+	chart := flag.Bool("chart", true, "draw log-scale ASCII chart")
+	flag.StringVar(&host.Backend, "backend", "", "also measure a real host run through the backend registry: "+strings.Join(backend.Names(), ", "))
+	flag.StringVar(&host.Scenario, "scenario", "", "flow scenario of the measured host run: "+strings.Join(scenario.Names(), ", ")+" (empty = jet; the co-simulation always replays the paper's jet traces)")
+	flag.StringVar(&host.Balance, "balance", "", "decomposition cost model of the measured host run: uniform, flops, or measured")
+	flag.Float64Var(&host.StopTol, "tol", 0, "stop tolerance of the measured host run (0 = fixed -steps)")
+	flag.IntVar(&host.ReduceEvery, "reduce-every", 0, "global-reduction cadence in steps: costs the collective on the co-simulated platforms and monitors the measured host run")
+	flag.BoolVar(&host.FreshHalos, "fresh", false, "exact per-stage halo policy for the measured host run (bitwise serial equivalence); contradicts -halo-depth k > 1")
+	flag.IntVar(&host.HaloDepth, "halo-depth", 0, "communication-avoiding halo depth k: the co-simulated ranks exchange every k-th step over a redundant shell, and the measured host run uses the Wide(k) policy (0 = per-stage exchange)")
+	flag.IntVar(&host.ReduceGroup, "reduce-group", 0, "hierarchical allreduce node size: leaders-only cross-node plan on the co-simulated platforms and the measured host run (0 or 1 = flat)")
+	flag.IntVar(&host.TimeSlices, "time-slices", 0, "parareal time slices K: price the parallel-in-time schedule on the co-simulated platforms (procs splitting into K slice groups) and run it on the measured host (0 or 1 = pure spatial)")
+	flag.IntVar(&host.PararealIters, "parareal-iters", 0, "parareal correction iterations the schedule pays for (0 = the worst-case K)")
+	flag.IntVar(&host.CoarseFactor, "coarse-factor", 0, "parareal coarse-propagator coarsening (0 = default 2)")
+	flag.IntVar(&host.Nx, "nx", 125, "grid for the measured host run (with -backend)")
+	flag.IntVar(&host.Nr, "nr", 50, "grid for the measured host run (with -backend)")
+	flag.IntVar(&host.Steps, "steps", 100, "composite steps for the measured host run (with -backend)")
 	flag.Parse()
 
-	explicitHalo := false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "reduce-every":
-			if *reduce <= 0 {
-				log.Fatalf("-reduce-every must be a positive cadence in steps, got %d", *reduce)
-			}
-		case "halo-depth":
-			explicitHalo = true
-		case "reduce-group":
-			if *reduceGrp < 1 {
-				log.Fatalf("-reduce-group must be >= 1 (1 = flat allreduce), got %d", *reduceGrp)
-			}
-		}
-	})
-	if err := cliutil.ValidateHaloFlags(*fresh, *haloDepth, explicitHalo); err != nil {
+	if err := cliutil.CheckExplicit(flag.CommandLine); err != nil {
 		log.Fatal(err)
 	}
 
 	ch := trace.PaperNS()
-	if *euler {
+	if host.Euler {
 		ch = trace.PaperEuler()
 	}
 	// The co-simulated platforms pay for the reduction cadence (the
 	// collective-latency term of a convergence-controlled run); the
 	// tolerance itself only applies to the measured host run, since the
 	// co-simulation replays a schedule, not physics.
-	ch.ReduceEvery = *reduce
+	ch.ReduceEvery = host.ReduceEvery
 	// The communication-avoiding knobs price the same cadence the
 	// measured host run executes: wide halos thin the exchange schedule
 	// (and inflate per-rank compute by the redundant shell), the
 	// hierarchical reduce thins the collective to node leaders.
-	ch.HaloDepth = *haloDepth
-	ch.ReduceGroup = *reduceGrp
+	ch.HaloDepth = host.HaloDepth
+	ch.ReduceGroup = host.ReduceGroup
 	// The parareal knobs reroute the co-simulation to the
 	// parallel-in-time schedule (machine.SimulateParareal) and the
 	// measured host run to the parareal backend with -backend as the
 	// fine propagator.
-	ch.TimeSlices = *slices
-	ch.PararealIters = *pIters
-	ch.CoarseFactor = *coarseF
+	ch.TimeSlices = host.TimeSlices
+	ch.PararealIters = host.PararealIters
+	ch.CoarseFactor = host.CoarseFactor
 	// The co-simulation needs a concrete strategy; the measured host run
 	// passes the raw flag through so 0 stays "backend default" (and a
 	// pinned backend name like mp:v6 is not contradicted).
-	simVersion := *version
+	simVersion := host.Version
 	if simVersion == 0 {
 		simVersion = 5
 	}
@@ -160,24 +147,25 @@ func main() {
 		series = append(series, s)
 	}
 
-	if *real != "" {
-		if _, err := backend.Get(*real); err != nil {
+	if real := host.Backend; real != "" {
+		if _, err := backend.Get(real); err != nil {
 			log.Fatal(err)
 		}
-		s := stats.Series{Name: fmt.Sprintf("host %s (measured)", *real)}
-		if *scen != "" {
-			s.Name = fmt.Sprintf("host %s %s (measured)", *real, *scen)
+		s := stats.Series{Name: fmt.Sprintf("host %s (measured)", real)}
+		if host.Scenario != "" {
+			s.Name = fmt.Sprintf("host %s %s (measured)", real, host.Scenario)
 		}
+		slices := host.TimeSlices
 		counts := []int{1, 2, 4, 8}
 		switch {
-		case *real == "serial":
+		case real == "serial":
 			// A single-processor backend is always a P=1 data point,
 			// whatever -procs says about the simulated sweep — except
 			// under parareal, where the serial fine propagator still
 			// fans out into K one-rank slice groups.
 			counts = []int{1}
-			if *slices > 1 {
-				counts = []int{*slices}
+			if slices > 1 {
+				counts = []int{slices}
 			}
 		case *procs > 0:
 			counts = []int{*procs}
@@ -191,29 +179,21 @@ func main() {
 		// -balance has no co-simulation meaning, so it always reaches
 		// the registry, which rejects it on serial/shm instead of
 		// silently measuring a uniform curve the user did not ask for.
-		hostVersion := *version
-		if *real == "serial" || *real == "shm" {
-			hostVersion = 0
+		if real == "serial" || real == "shm" {
+			host.Version = 0
 		}
 		for _, np := range counts {
-			hostProcs := np
-			if *slices > 1 {
+			host.Procs = np
+			if slices > 1 {
 				// Match the co-simulation's accounting: np is the total
 				// pool, split evenly over the slices into fine-propagator
 				// groups of np/K ranks each.
-				if np < *slices || np%*slices != 0 {
+				if np < slices || np%slices != 0 {
 					continue
 				}
-				hostProcs = np / *slices
+				host.Procs = np / slices
 			}
-			run, err := core.NewRun(core.Config{
-				Scenario: *scen,
-				Euler:    *euler, Nx: *nx, Nr: *nr, Steps: *steps,
-				Backend: *real, Procs: hostProcs, Version: hostVersion, Balance: *balance,
-				StopTol: *tol, ReduceEvery: *reduce,
-				FreshHalos: *fresh, HaloDepth: *haloDepth, ReduceGroup: *reduceGrp,
-				TimeSlices: *slices, PararealIters: *pIters, CoarseFactor: *coarseF,
-			})
+			run, err := core.NewRun(host)
 			if err != nil {
 				log.Fatal(err)
 			}

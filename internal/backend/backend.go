@@ -60,7 +60,7 @@ import (
 type Options struct {
 	// Scenario names the registered flow problem (internal/scenario)
 	// whose boundary conditions and initial state the slabs run. Empty
-	// and "jet" both select the built-in excited jet. The caller is
+	// means "jet", the excited jet of the paper. The caller is
 	// responsible for passing a cfg and grid consistent with the
 	// scenario (core.NewRun resolves both through the same registry);
 	// scenarios validate what they can (the cavity rejects a grid
@@ -214,15 +214,12 @@ func (o Options) scenario() string {
 }
 
 // resolveProblem maps Options.Scenario onto the solver problem every
-// slab runs. The empty string short-circuits to nil — byte-for-byte
-// the pre-registry jet path — while named scenarios (including "jet")
-// resolve through the registry, so an unknown name surfaces the
-// available list and a scenario can validate cfg and grid.
+// slab runs, always through the scenario registry: the empty string is
+// the registered "jet" (whose zero-valued Problem takes the built-in
+// boundary paths), an unknown name surfaces the available list, and the
+// scenario validates cfg and grid.
 func resolveProblem(cfg jet.Config, g *grid.Grid, o Options) (*solver.Problem, error) {
-	if o.Scenario == "" {
-		return nil, nil
-	}
-	sc, err := scenario.Get(o.Scenario)
+	sc, err := scenario.Get(o.scenario())
 	if err != nil {
 		return nil, err
 	}

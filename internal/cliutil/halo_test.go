@@ -1,31 +1,43 @@
 package cliutil
 
 import (
+	"flag"
+	"io"
 	"strings"
 	"testing"
 )
 
-func TestValidateHaloFlags(t *testing.T) {
+func TestCheckExplicit(t *testing.T) {
 	cases := []struct {
 		name    string
-		fresh   bool
-		depth   int
-		set     bool
+		args    []string
 		wantErr string
 	}{
-		{name: "defaults", fresh: false, depth: 0, set: false},
-		{name: "fresh only", fresh: true, depth: 0, set: false},
-		{name: "depth one is fresh", fresh: false, depth: 1, set: true},
-		{name: "fresh plus depth one agree", fresh: true, depth: 1, set: true},
-		{name: "wide depth", fresh: false, depth: 3, set: true},
-		{name: "explicit zero depth", depth: 0, set: true, wantErr: "must be >= 1"},
-		{name: "negative depth", depth: -2, set: true, wantErr: "must be >= 1"},
-		{name: "fresh contradicts wide depth", fresh: true, depth: 2, set: true, wantErr: "contradicts -fresh"},
-		{name: "contradiction without visit", fresh: true, depth: 4, set: false, wantErr: "contradicts -fresh"},
+		{name: "defaults"},
+		{name: "fresh only", args: []string{"-fresh"}},
+		{name: "depth one is fresh", args: []string{"-halo-depth", "1"}},
+		{name: "wide depth", args: []string{"-halo-depth", "3"}},
+		{name: "explicit zero depth", args: []string{"-halo-depth", "0"}, wantErr: "-halo-depth must be >= 1"},
+		{name: "negative depth", args: []string{"-halo-depth", "-2"}, wantErr: "-halo-depth must be >= 1"},
+		{name: "explicit zero cadence", args: []string{"-reduce-every", "0"}, wantErr: "-reduce-every must be a positive cadence"},
+		{name: "cadence", args: []string{"-reduce-every", "5"}},
+		{name: "explicit zero group", args: []string{"-reduce-group", "0"}, wantErr: "-reduce-group must be >= 1"},
+		{name: "flat group", args: []string{"-reduce-group", "1"}},
+		// The pair contradiction is Config.Canonical's, not a flag check.
+		{name: "fresh with wide depth passes the flag check", args: []string{"-fresh", "-halo-depth", "2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateHaloFlags(tc.fresh, tc.depth, tc.set)
+			fs := flag.NewFlagSet("test", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			fs.Bool("fresh", false, "")
+			fs.Int("halo-depth", 0, "")
+			fs.Int("reduce-every", 0, "")
+			fs.Int("reduce-group", 0, "")
+			if err := fs.Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			err := CheckExplicit(fs)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

@@ -82,9 +82,9 @@ type Config struct {
 	// bitwise-identical to serial. HaloDepth 1 is exactly the Fresh
 	// policy, so it composes with FreshHalos; HaloDepth > 1 together
 	// with FreshHalos is a contradiction (the wide cadence is not the
-	// per-stage exact policy) and NewRun rejects it, mirroring the
-	// CLIs' parse-time check. Zero leaves the FreshHalos choice in
-	// force; negative values are an error. Distributed backends only.
+	// per-stage exact policy) and Canonical rejects it. Zero leaves the
+	// FreshHalos choice in force; negative values are an error.
+	// Distributed backends only.
 	HaloDepth int
 	// ReduceGroup, when > 1, makes the distributed backends' allreduce
 	// hierarchical (intra-node combine, leaders-only cross-node plan).
@@ -138,8 +138,15 @@ type Config struct {
 	Jet *jet.Config
 }
 
-// withDefaults fills zero values.
+// withDefaults fills zero values — the one place "empty" is given its
+// meaning (the serial backend, the jet scenario, the paper's grid).
 func (c Config) withDefaults() Config {
+	if c.Backend == "" {
+		c.Backend = "serial"
+	}
+	if c.Scenario == "" {
+		c.Scenario = "jet"
+	}
 	if c.Nx == 0 {
 		c.Nx = 250
 	}
@@ -160,14 +167,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// backendName resolves the registry name (empty means serial).
-func (c Config) backendName() string {
-	if c.Backend == "" {
-		return "serial"
-	}
-	return c.Backend
-}
-
 // jetConfig resolves the base physical configuration. The scenario has
 // the final word: the jet honors this unchanged, the wall-bounded
 // scenarios replace it with their pinned parameter sets.
@@ -179,14 +178,6 @@ func (c Config) jetConfig() jet.Config {
 		return jet.Euler()
 	}
 	return jet.Paper()
-}
-
-// scenarioName resolves the registry name (empty means the jet).
-func (c Config) scenarioName() string {
-	if c.Scenario == "" {
-		return "jet"
-	}
-	return c.Scenario
 }
 
 // pinnedVersion parses the communication version a registry name
@@ -204,14 +195,17 @@ func pinnedVersion(name string) (int, bool) {
 }
 
 // Canonical returns the normalized form of c: every alias spelling of
-// the same run maps onto one configuration, which is what a config-hash
-// result cache (internal/serve) keys on. Normalized here:
+// the same run maps onto one configuration. It is the only fold of a
+// run description — NewRun builds the run from it and the config-hash
+// result cache (internal/serve) keys on it, so a spelling means the
+// same run to every front end. Normalized here:
 //
 //   - zero-value defaults (grid, steps, procs) are filled in;
 //   - the empty Backend is named ("serial");
 //   - version aliasing: a version-pinned name implies its Version, and
 //     an explicit Version with a pinned sibling name moves onto it
-//     ({Backend: "mp2d", Version: 6} becomes {Backend: "mp2d:v6"});
+//     ({Backend: "mp2d", Version: 6} becomes {Backend: "mp2d:v6"}); a
+//     Version contradicting the pin is kept for the registry to reject;
 //   - scenario expansion: the default scenario is named, and Jet is
 //     resolved to the physical configuration the scenario actually runs
 //     (the wall-bounded scenarios pin their own physics, so a cavity
@@ -232,23 +226,18 @@ func pinnedVersion(name string) (int, bool) {
 // see (an explicit Version equal to a backend's unstated default, a
 // zero Workers resolving to the host default) stay distinct keys, which
 // costs a cache hit but never aliases two different runs together.
-// Contradictory configurations (the same ones NewRun rejects at
-// construction) are errors.
+// Contradictions between fields are errors here; what only a registry
+// can judge (unknown names, a version a backend does not implement, a
+// decomposition that does not fit) is rejected by NewRun.
 func (c Config) Canonical() (Config, error) {
 	if c.Procs == 0 && (c.Px > 0) != (c.Pr > 0) {
+		// A half-specified rank grid with no total width has no
+		// defensible resolution: refusing beats silently collapsing
+		// the run to one rank.
 		return Config{}, fmt.Errorf("core: half-specified rank grid (Px=%d, Pr=%d) with Procs unset; set both axes, or one axis plus Procs", c.Px, c.Pr)
 	}
 	c = c.withDefaults()
-	c.Backend = c.backendName()
-	if v, ok := pinnedVersion(c.Backend); ok {
-		c.Version = v
-	} else if c.Version != 0 {
-		alias := fmt.Sprintf("%s:v%d", c.Backend, c.Version)
-		if _, ok := backendRegistered(alias); ok {
-			c.Backend = alias
-		}
-	}
-	c.Scenario = c.scenarioName()
+	c.Backend, c.Version = foldVersion(c.Backend, c.Version)
 	sc, err := scenario.Get(c.Scenario)
 	if err != nil {
 		return Config{}, err
@@ -287,14 +276,7 @@ func (c Config) Canonical() (Config, error) {
 		if c.FineBackend == "" {
 			c.FineBackend = "serial"
 		}
-		if v, ok := pinnedVersion(c.FineBackend); ok {
-			c.Version = v
-		} else if c.Version != 0 {
-			alias := fmt.Sprintf("%s:v%d", c.FineBackend, c.Version)
-			if _, ok := backendRegistered(alias); ok {
-				c.FineBackend = alias
-			}
-		}
+		c.FineBackend, c.Version = foldVersion(c.FineBackend, c.Version)
 		if c.FineBackend == "serial" {
 			c.Procs, c.Workers = 1, 0
 		}
@@ -335,11 +317,57 @@ func (c Config) Canonical() (Config, error) {
 	return c, nil
 }
 
-// backendRegistered reports whether name resolves in the backend
-// registry (without surfacing the unknown-name error).
-func backendRegistered(name string) (backend.Backend, bool) {
-	b, err := backend.Get(name)
-	return b, err == nil
+// foldVersion applies version aliasing to a registry name: a
+// version-pinned name implies its Version, and an explicit Version with
+// a registered pinned sibling moves onto that name. A Version that
+// contradicts the pin stays as spelled, so the registry rejects the
+// pair instead of one half silently winning.
+func foldVersion(name string, version int) (string, int) {
+	if v, ok := pinnedVersion(name); ok {
+		if version == 0 {
+			version = v
+		}
+		return name, version
+	}
+	if version != 0 {
+		alias := fmt.Sprintf("%s:v%d", name, version)
+		if _, err := backend.Get(alias); err == nil {
+			name = alias
+		}
+	}
+	return name, version
+}
+
+// options translates a canonical config into the backend layer's
+// options — the one place the two spellings meet.
+func (c Config) options() backend.Options {
+	policy := solver.Lagged
+	switch {
+	case c.HaloDepth > 1:
+		policy = solver.Wide(c.HaloDepth)
+	case c.FreshHalos:
+		policy = solver.Fresh
+	}
+	return backend.Options{
+		Scenario:    c.Scenario,
+		Procs:       c.Procs,
+		Workers:     c.Workers,
+		Px:          c.Px,
+		Pr:          c.Pr,
+		Version:     par.Version(c.Version),
+		Policy:      policy,
+		Balance:     c.Balance,
+		StopTol:     c.StopTol,
+		SteadyTol:   c.SteadyTol,
+		ReduceEvery: c.ReduceEvery,
+		ReduceGroup: c.ReduceGroup,
+
+		TimeSlices:    c.TimeSlices,
+		PararealIters: c.PararealIters,
+		CoarseFactor:  c.CoarseFactor,
+		DefectTol:     c.DefectTol,
+		Fine:          c.FineBackend,
+	}
 }
 
 // Result reports a completed run.
@@ -396,10 +424,9 @@ var (
 // silently on the same options was never defined behavior, and a
 // serving process must be able to treat a Run as a consumable job.
 type Run struct {
-	cfg Config
-	// phys is the scenario-resolved physical configuration the backend
-	// actually runs (the scenario may override Config.Jet/Euler).
-	phys jet.Config
+	// cfg is canonical: cfg.Jet is the scenario-resolved physical
+	// configuration the backend actually runs.
+	cfg  Config
 	grid *grid.Grid
 	be   backend.Backend
 	opts backend.Options
@@ -408,84 +435,33 @@ type Run struct {
 	state atomic.Uint32
 }
 
-// NewRun validates the configuration, resolves the backend from the
-// registry, and checks the decomposition.
+// NewRun canonicalizes the configuration, resolves the scenario grid
+// and the backend from their registries, and checks the run against the
+// backend (decomposition included). Every spelling Canonical folds
+// together is therefore the same Run, and every rejection originates in
+// Canonical, a registry, or backend.Validate.
 func NewRun(c Config) (*Run, error) {
-	if c.Procs == 0 && (c.Px > 0) != (c.Pr > 0) {
-		// A half-specified rank grid with no total width has no
-		// defensible resolution: refusing beats silently collapsing
-		// the run to one rank.
-		return nil, fmt.Errorf("core: half-specified rank grid (Px=%d, Pr=%d) with Procs unset; set both axes, or one axis plus Procs", c.Px, c.Pr)
-	}
-	c = c.withDefaults()
-	// The scenario resolves first: it owns the domain geometry and (for
-	// the pinned scenarios) the physical configuration the backend runs.
-	sc, err := scenario.Get(c.scenarioName())
+	c, err := c.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	phys := sc.Config(c.jetConfig())
-	g, err := sharedGrid(sc, c.scenarioName(), c.Nx, c.Nr)
+	sc, err := scenario.Get(c.Scenario)
 	if err != nil {
 		return nil, err
 	}
-	name := c.backendName()
-	fine := c.FineBackend
-	if c.TimeSlices > 1 && name != "parareal" {
-		// A spatial backend name with time slices means: run the
-		// parareal coordinator with that backend as the fine propagator.
-		// An explicit FineBackend wins over the default serial
-		// resolution of an empty spelling, but contradicting a
-		// non-serial spatial name is an error, not a silent pick.
-		if fine != "" && name != "serial" && fine != name {
-			return nil, fmt.Errorf("core: FineBackend %q contradicts spatial backend %q under TimeSlices; name one of them (or Backend \"parareal\")", fine, name)
-		}
-		if fine == "" {
-			fine = name
-		}
-		name = "parareal"
-	}
-	be, err := backend.Get(name)
+	g, err := sharedGrid(sc, c.Scenario, c.Nx, c.Nr)
 	if err != nil {
 		return nil, err
 	}
-	policy := solver.Lagged
-	if c.FreshHalos {
-		policy = solver.Fresh
-	}
-	if c.HaloDepth < 0 {
-		return nil, fmt.Errorf("core: halo depth must be >= 1, got %d", c.HaloDepth)
-	}
-	if c.HaloDepth > 1 && c.FreshHalos {
-		return nil, fmt.Errorf("core: HaloDepth %d (exchange every %d-th step) contradicts FreshHalos (per-stage exact exchange); set one of them", c.HaloDepth, c.HaloDepth)
-	}
-	if c.HaloDepth >= 1 {
-		policy = solver.Wide(c.HaloDepth)
-	}
-	opts := backend.Options{
-		Scenario:    c.Scenario,
-		Procs:       c.Procs,
-		Workers:     c.Workers,
-		Px:          c.Px,
-		Pr:          c.Pr,
-		Version:     par.Version(c.Version),
-		Policy:      policy,
-		Balance:     c.Balance,
-		StopTol:     c.StopTol,
-		SteadyTol:   c.SteadyTol,
-		ReduceEvery: c.ReduceEvery,
-		ReduceGroup: c.ReduceGroup,
-
-		TimeSlices:    c.TimeSlices,
-		PararealIters: c.PararealIters,
-		CoarseFactor:  c.CoarseFactor,
-		DefectTol:     c.DefectTol,
-		Fine:          fine,
-	}
-	if err := backend.Validate(be, phys, g, opts); err != nil {
+	be, err := backend.Get(c.Backend)
+	if err != nil {
 		return nil, err
 	}
-	return &Run{cfg: c, phys: phys, grid: g, be: be, opts: opts}, nil
+	opts := c.options()
+	if err := backend.Validate(be, *c.Jet, g, opts); err != nil {
+		return nil, err
+	}
+	return &Run{cfg: c, grid: g, be: be, opts: opts}, nil
 }
 
 // gridCache shares one immutable *grid.Grid per (scenario, nx, nr)
@@ -551,8 +527,7 @@ func (r *Run) Execute() (*Result, error) {
 		}
 		return nil, ErrRunConsumed
 	}
-	c := r.cfg
-	br, err := r.be.Run(r.phys, r.grid, r.opts, c.Steps)
+	br, err := r.be.Run(*r.cfg.Jet, r.grid, r.opts, r.cfg.Steps)
 	if err != nil {
 		return nil, err
 	}

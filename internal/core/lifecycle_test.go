@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/jet"
 )
 
 // TestRunIsOneShot pins the Execute reuse semantics: a Run is consumed
@@ -325,5 +328,181 @@ func TestCanonicalParareal(t *testing.T) {
 	bad.SteadyTol = 1e-4
 	if _, err := bad.Canonical(); err == nil {
 		t.Fatal("StopTol with SteadyTol accepted")
+	}
+}
+
+// aliasSpellings is the alias table of TestCanonical*, and of
+// serve.TestKeyAliasing: spellings Canonical folds onto another entry
+// (or onto their own defaults), on a 64x24 grid unless they name one.
+func aliasSpellings() []Config {
+	table := []Config{
+		{Procs: 4}, // empty Backend is serial: one slab whatever the width
+		{Backend: "serial"},
+		{Scenario: "jet", Backend: "serial", Balance: "uniform"},
+		{Backend: "mp2d", Version: 6, Procs: 4},
+		{Backend: "mp2d:v6", Procs: 4},
+		{Backend: "mp2d", Px: 2, Pr: 1}, // the shape defines the width
+		{Backend: "mp:v7", Version: 7, Procs: 2},
+		{Backend: "mp:v7", Procs: 2},
+		{Backend: "mp", Version: 5, Procs: 2},
+		{Backend: "hybrid", Version: 6, Procs: 2, Workers: 1, ReduceGroup: 1},
+		{Scenario: "cavity", Euler: true, Nx: 33, Nr: 32},
+		{Scenario: "cavity", Nx: 33, Nr: 32},
+		{Backend: "mp:v5", Procs: 2, HaloDepth: 1},
+		{Backend: "mp:v5", Procs: 2, FreshHalos: true},
+		{Backend: "mp:v5", Procs: 2, HaloDepth: 1, StopTol: 1e-1},
+		// Inert parallel-in-time fields on a spatial run.
+		{TimeSlices: 1, PararealIters: 3, CoarseFactor: 4, DefectTol: 1e-3, FineBackend: "mp:v5"},
+		{Backend: "mp:v5", Procs: 2, PararealIters: 2},
+		// Spatial names with slices are parareal runs.
+		{Backend: "mp", Version: 5, Procs: 2, TimeSlices: 4},
+		{Backend: "parareal", FineBackend: "mp:v5", Procs: 2, TimeSlices: 4},
+		{TimeSlices: 2, FineBackend: "mp2d", Procs: 2},
+		{TimeSlices: 2, Procs: 4}, // serial fine propagator: one slab per slice
+	}
+	for i := range table {
+		if table[i].Nx == 0 {
+			table[i].Nx, table[i].Nr = 64, 24
+		}
+		table[i].Steps = 8
+	}
+	return table
+}
+
+// sameConfig compares two canonical configs, physics by value.
+func sameConfig(a, b Config) bool {
+	ja, jb := *a.Jet, *b.Jet
+	a.Jet, b.Jet = nil, nil
+	return a == b && ja == jb
+}
+
+// TestCanonicalIdempotent: the canonical form is a fixed point, over
+// the whole alias table.
+func TestCanonicalIdempotent(t *testing.T) {
+	for _, c := range aliasSpellings() {
+		once, err := c.Canonical()
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		twice, err := once.Canonical()
+		if err != nil {
+			t.Fatalf("canonical form of %+v rejected: %v", c, err)
+		}
+		if !sameConfig(once, twice) {
+			t.Errorf("not idempotent for %+v:\n  once  %+v %+v\n  twice %+v %+v", c, once, *once.Jet, twice, *twice.Jet)
+		}
+	}
+}
+
+// TestNewRunEqualsCanonicalRun: NewRun runs on the canonical form, so a
+// spelling and its canonical form are one run — same resolved config,
+// bitwise-equal momentum, steps and dt.
+func TestNewRunEqualsCanonicalRun(t *testing.T) {
+	for _, c := range aliasSpellings() {
+		cc, err := c.Canonical()
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		spelled, err := NewRun(c)
+		if err != nil {
+			t.Fatalf("NewRun(%+v): %v", c, err)
+		}
+		canon, err := NewRun(cc)
+		if err != nil {
+			t.Fatalf("NewRun(Canonical(%+v)): %v", c, err)
+		}
+		if !sameConfig(spelled.cfg, cc) || !sameConfig(canon.cfg, cc) {
+			t.Errorf("%+v: NewRun resolved %+v, Canonical %+v", c, spelled.cfg, cc)
+		}
+		a, err := spelled.Execute()
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		b, err := canon.Execute()
+		if err != nil {
+			t.Fatalf("%+v: %v", cc, err)
+		}
+		if a.Backend != cc.Backend || b.Backend != cc.Backend {
+			t.Errorf("%+v: results name backends %q and %q, canonical name %q", c, a.Backend, b.Backend, cc.Backend)
+		}
+		if a.Steps != b.Steps || a.Dt != b.Dt {
+			t.Errorf("%+v: steps/dt %d/%g vs %d/%g", c, a.Steps, a.Dt, b.Steps, b.Dt)
+		}
+		if !reflect.DeepEqual(a.Momentum, b.Momentum) {
+			t.Errorf("%+v: momentum fields differ", c)
+		}
+	}
+}
+
+// TestNewRunFollowsCanonical pins the spellings on which NewRun used to
+// disagree with Canonical (and so jetsim with jetsimd) before it was
+// built on it; Canonical's reading is the one that stands.
+func TestNewRunFollowsCanonical(t *testing.T) {
+	exec := func(c Config) *Result {
+		t.Helper()
+		run, err := NewRun(c)
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		res, err := run.Execute()
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		return res
+	}
+	// Inert parallel-in-time fields of a spatial run are cleared, not
+	// rejected by the spatial backend.
+	c := small()
+	c.PararealIters, c.CoarseFactor, c.DefectTol, c.FineBackend = 2, 4, 1e-3, "mp:v5"
+	if res := exec(c); res.Backend != "serial" || res.TimeSlices != 0 {
+		t.Errorf("inert parareal fields changed the run: %+v", res)
+	}
+	// Results carry the canonical backend name.
+	c = small()
+	c.Backend, c.Version, c.Procs = "mp2d", 6, 2
+	if res := exec(c); res.Backend != "mp2d:v6" {
+		t.Errorf("mp2d + Version 6 reported backend %q, want mp2d:v6", res.Backend)
+	}
+	// A base name with only version-pinned registrations resolves
+	// through version aliasing.
+	c = small()
+	c.Backend, c.Version, c.Procs = "mp", 5, 2
+	if res := exec(c); res.Backend != "mp:v5" {
+		t.Errorf("mp + Version 5 reported backend %q, want mp:v5", res.Backend)
+	}
+	// A serial fine propagator is one slab per slice whatever Procs says.
+	c = small()
+	c.TimeSlices, c.Procs = 2, 4
+	if res := exec(c); res.Backend != "parareal" || res.Procs != 1 {
+		t.Errorf("serial-fine parareal reported backend %q procs %d, want parareal/1", res.Backend, res.Procs)
+	}
+	// Negative slice counts are rejected, not run as a spatial run.
+	c = small()
+	c.TimeSlices = -1
+	if _, err := NewRun(c); err == nil {
+		t.Error("TimeSlices -1 accepted")
+	}
+	// The default scenario is the registered jet, whose Problem
+	// validates the physics at construction, not first at Execute.
+	c = small()
+	jc := jet.Paper()
+	jc.Theta = -1
+	c.Jet = &jc
+	if _, err := NewRun(c); err == nil {
+		t.Error("invalid jet physics accepted by NewRun")
+	}
+	// A Version contradicting a pinned name survives canonicalization,
+	// so the registry — not a silent fold — answers it.
+	c = small()
+	c.Backend, c.Version, c.Procs = "mp:v5", 6, 2
+	cc, err := c.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cc.Backend != "mp:v5" || cc.Version != 6 {
+		t.Errorf("contradicting version folded away: %+v", cc)
+	}
+	if _, err := NewRun(c); err == nil {
+		t.Error("mp:v5 with Version 6 accepted")
 	}
 }

@@ -5,7 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"strings"
+	"reflect"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/par"
@@ -25,25 +26,66 @@ func Key(c core.Config) (string, error) {
 	return keyOf(cc), nil
 }
 
-// keyOf hashes an already-canonical config. Floats are keyed by their
-// IEEE-754 bits: the cache promises bitwise-identical results, so two
-// tolerances that differ in the last ulp are two different runs.
+// keyField is one leaf of the key's field plan: the reflect path from a
+// core.Config to a scalar, and the name it is hashed under.
+type keyField struct {
+	name  string
+	index []int
+}
+
+// keyPlan flattens core.Config — and the jet.Config it points to — into
+// its scalar leaves, once. The key is derived from the struct
+// definitions, so a field added to either struct is key material the
+// moment it exists; a field of a kind the encoder below cannot spell
+// panics here, at start-up, instead of silently dropping out of the
+// identity.
+var keyPlan = planFields(reflect.TypeOf(core.Config{}), "", nil)
+
+func planFields(t reflect.Type, prefix string, path []int) []keyField {
+	var plan []keyField
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, index := prefix+f.Name, append(path[:len(path):len(path)], i)
+		ft := f.Type
+		if ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
+		}
+		switch ft.Kind() {
+		case reflect.Struct:
+			plan = append(plan, planFields(ft, name+".", index)...)
+		case reflect.Int, reflect.Bool, reflect.Float64, reflect.String:
+			plan = append(plan, keyField{name: name, index: index})
+		default:
+			panic(fmt.Sprintf("serve: core.Config field %s has kind %s, which the cache key cannot encode", name, ft.Kind()))
+		}
+	}
+	return plan
+}
+
+// keyOf hashes an already-canonical config (Jet resolved, so the walk
+// never meets a nil pointer). Every leaf is written as name=value;
+// floats by their IEEE-754 bits — the cache promises bitwise-identical
+// results, so two tolerances that differ in the last ulp are two
+// different runs — and strings quoted, so no value can imitate a
+// neighbouring field.
 func keyOf(c core.Config) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "scenario=%s|backend=%s|nx=%d|nr=%d|steps=%d|procs=%d|workers=%d|px=%d|pr=%d|version=%d|balance=%s|fresh=%t|halo=%d|group=%d|tol=%x|every=%d",
-		c.Scenario, c.Backend, c.Nx, c.Nr, c.Steps, c.Procs, c.Workers, c.Px, c.Pr,
-		c.Version, c.Balance, c.FreshHalos, c.HaloDepth, c.ReduceGroup,
-		math.Float64bits(c.StopTol), c.ReduceEvery)
-	fmt.Fprintf(&b, "|steady=%x|slices=%d|iters=%d|coarse=%d|defect=%x|fine=%s",
-		math.Float64bits(c.SteadyTol), c.TimeSlices, c.PararealIters, c.CoarseFactor,
-		math.Float64bits(c.DefectTol), c.FineBackend)
-	j := *c.Jet // canonical configs always carry the resolved physics
-	fmt.Fprintf(&b, "|jet=%x,%x,%x,%x,%x,%x,%x,%t",
-		math.Float64bits(j.MachCenter), math.Float64bits(j.TempRatio),
-		math.Float64bits(j.Theta), math.Float64bits(j.Strouhal),
-		math.Float64bits(j.Eps), math.Float64bits(j.UCoflow),
-		math.Float64bits(j.Reynolds), j.Viscous)
-	sum := sha256.Sum256([]byte(b.String()))
+	v := reflect.ValueOf(c)
+	b := make([]byte, 0, 1024)
+	for _, f := range keyPlan {
+		b = append(append(b, f.name...), '=')
+		switch fv := v.FieldByIndex(f.index); fv.Kind() {
+		case reflect.Int:
+			b = strconv.AppendInt(b, fv.Int(), 10)
+		case reflect.Bool:
+			b = strconv.AppendBool(b, fv.Bool())
+		case reflect.Float64:
+			b = strconv.AppendUint(b, math.Float64bits(fv.Float()), 16)
+		case reflect.String:
+			b = strconv.AppendQuote(b, fv.String())
+		}
+		b = append(b, '|')
+	}
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 

@@ -9,27 +9,28 @@
 //
 // Request flow of Submit:
 //
-//  1. the Config is canonicalized (core.Config.Canonical — Mode/Backend
-//     aliasing, zero-value defaults, scenario expansion) and hashed, so
-//     every alias spelling of the same run shares one cache line;
+//  1. the Config is canonicalized (core.Config.Canonical — backend and
+//     version aliasing, zero-value defaults, scenario expansion) and
+//     hashed field by field (the key is derived from the struct
+//     definition, see keyPlan), so every alias spelling of the same run
+//     shares one cache line and no field can be left out of it;
 //  2. the cache is consulted with single-flight semantics: a hit
 //     returns the completed result (bitwise-identical to a cold run),
 //     a duplicate of an in-flight run waits for that run instead of
 //     recomputing;
 //  3. a cold run passes admission control — a bounded FIFO wait queue
 //     (load beyond it is shed with ErrBusy) feeding a weighted slot
-//     pool: each run occupies its parallel width (ranks × per-rank
-//     workers) so the summed width of executing runs never exceeds the
-//     machine's Slots;
+//     pool: each run occupies its parallel width (time slices × ranks
+//     × per-rank workers) so the summed width of executing runs never
+//     exceeds the machine's Slots;
 //  4. the run executes through core.NewRun/Execute and its result is
 //     published to every waiter.
 //
-// The admission weight and the per-job cost estimate come from the
-// cost-weighted decomposition machinery of internal/solver: the
-// analytic per-column FLOP profile (solver.ColCostFlops) integrated
-// over the scenario grid prices each job, and the profiles themselves
-// are shared immutably across all jobs of a scenario/resolution,
-// exactly like the grids core shares underneath.
+// The per-job cost estimate comes from the cost-weighted decomposition
+// machinery of internal/solver: the analytic per-column FLOP profile
+// (solver.ColCostFlops) integrated over the scenario grid prices each
+// job, computed once per scenario/resolution and shared by every job
+// of it.
 package serve
 
 import (
@@ -41,8 +42,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/grid"
-	"repro/internal/jet"
 	"repro/internal/scenario"
 	"repro/internal/solver"
 )
@@ -59,9 +58,9 @@ var (
 // Options configures a Scheduler. The zero value picks host defaults.
 type Options struct {
 	// Slots is the machine width the scheduler packs runs onto: the
-	// summed admission width (ranks × per-rank workers, clamped to
-	// Slots) of concurrently executing runs never exceeds it. Zero
-	// picks runtime.NumCPU().
+	// summed admission width (time slices × ranks × per-rank workers,
+	// clamped to Slots) of concurrently executing runs never exceeds
+	// it. Zero picks runtime.NumCPU().
 	Slots int
 	// MaxQueue bounds the runs waiting for slots; a cold submission
 	// beyond it fails fast with ErrBusy instead of queuing unboundedly
@@ -91,9 +90,8 @@ type Stats struct {
 	// PerScenario counts served jobs (cold completions and cache hits)
 	// by scenario name — the traffic mix of the service.
 	PerScenario map[string]uint64 `json:"per_scenario,omitempty"`
-	// SharedProfiles counts the immutable per-(scenario, resolution)
-	// data sets (grid reference, physical configuration, cost profile)
-	// shared across all jobs touching them.
+	// SharedProfiles counts the per-(scenario, resolution) cost
+	// profiles shared across all jobs touching them.
 	SharedProfiles int `json:"shared_profiles"`
 	// FlopsServed integrates the analytic cost estimate of completed
 	// cold runs (cache hits serve the same physics for free).
@@ -117,7 +115,7 @@ type Scheduler struct {
 
 	mu          sync.Mutex
 	results     map[string]*entry
-	shared      map[sharedKey]*sharedData
+	shared      map[sharedKey]float64 // analytic flops per composite step
 	queued      int
 	running     int
 	flops       float64
@@ -136,21 +134,11 @@ type entry struct {
 	err  error
 }
 
-// sharedKey identifies the immutable data of one scenario resolution.
+// sharedKey identifies one scenario resolution, the unit the analytic
+// cost profile is computed for.
 type sharedKey struct {
 	scenario string
 	nx, nr   int
-}
-
-// sharedData is built once per (scenario, resolution) and read by every
-// job that touches it: the grid (the same immutable grid core shares
-// across concurrent runs), the scenario-pinned physical configuration,
-// and the analytic per-column cost profile that prices admission.
-type sharedData struct {
-	g            *grid.Grid
-	phys         jet.Config
-	colCost      []float64
-	flopsPerStep float64
 }
 
 // New builds a scheduler.
@@ -167,7 +155,7 @@ func New(o Options) *Scheduler {
 		sem:         newFifoSem(o.Slots),
 		start:       time.Now(),
 		results:     map[string]*entry{},
-		shared:      map[sharedKey]*sharedData{},
+		shared:      map[sharedKey]float64{},
 		perScenario: map[string]uint64{},
 	}
 }
@@ -198,7 +186,7 @@ func (s *Scheduler) Submit(cfg core.Config) (*Reply, error) {
 		return nil, err
 	}
 	key := keyOf(cc)
-	sd, err := s.sharedFor(cc)
+	perStep, err := s.flopsPerStep(cc)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +232,7 @@ func (s *Scheduler) Submit(cfg core.Config) (*Reply, error) {
 	if err != nil {
 		delete(s.results, key)
 	} else {
-		s.flops += sd.flopsPerStep * float64(res.Steps)
+		s.flops += perStep * float64(res.Steps)
 		s.perScenario[cc.Scenario]++
 	}
 	s.mu.Unlock()
@@ -268,66 +256,55 @@ func runCold(cc core.Config) (*core.Result, error) {
 	return run.Execute()
 }
 
-// widthOf is the admission width of a canonical config: the parallel
-// width the run occupies on the machine, clamped to the slot pool so an
-// oversubscribed job degenerates to "the whole machine" instead of
-// never being admitted.
+// widthOf is the admission width of a canonical config: the goroutines
+// the run computes on — time slices × ranks (or shm workers) × per-rank
+// workers, the spatial shape being the fine propagator's under parareal
+// — clamped to the slot pool so an oversubscribed job degenerates to
+// "the whole machine" instead of never being admitted.
 func (s *Scheduler) widthOf(cc core.Config) int {
-	w := cc.Procs
-	if cc.Backend == "hybrid" {
+	spatial := cc.Backend
+	if spatial == "parareal" {
+		spatial = cc.FineBackend
+	}
+	w := max(1, cc.TimeSlices) * cc.Procs
+	if spatial == "hybrid" {
 		per := cc.Workers
 		if per <= 0 {
 			// The hybrid backend's host default: NumCPU spread over the
 			// ranks, at least one worker each.
-			per = runtime.NumCPU() / cc.Procs
-			if per < 1 {
-				per = 1
-			}
+			per = max(1, runtime.NumCPU()/cc.Procs)
 		}
-		w = cc.Procs * per
+		w *= per
 	}
-	if w < 1 {
-		w = 1
-	}
-	if w > s.slots {
-		w = s.slots
-	}
-	return w
+	return min(max(w, 1), s.slots)
 }
 
-// sharedFor resolves (building on first use) the immutable shared data
-// of the job's scenario resolution.
-func (s *Scheduler) sharedFor(cc core.Config) (*sharedData, error) {
+// flopsPerStep prices one composite step of the job's scenario
+// resolution with the analytic per-column cost profile, computing it on
+// first use.
+func (s *Scheduler) flopsPerStep(cc core.Config) (float64, error) {
 	k := sharedKey{scenario: cc.Scenario, nx: cc.Nx, nr: cc.Nr}
 	s.mu.Lock()
-	sd, ok := s.shared[k]
+	total, ok := s.shared[k]
 	s.mu.Unlock()
 	if ok {
-		return sd, nil
+		return total, nil
 	}
 	sc, err := scenario.Get(cc.Scenario)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	g, err := sc.Grid(cc.Nx, cc.Nr)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	phys := sc.Config(*cc.Jet) // canonical configs always carry Jet
-	col := solver.ColCostFlops(phys, g)
-	total := 0.0
-	for _, w := range col {
+	for _, w := range solver.ColCostFlops(*cc.Jet, g) { // canonical configs carry the resolved physics
 		total += w
 	}
-	sd = &sharedData{g: g, phys: phys, colCost: col, flopsPerStep: total}
 	s.mu.Lock()
-	if prior, ok := s.shared[k]; ok {
-		sd = prior // a racing builder won; share its copy
-	} else {
-		s.shared[k] = sd
-	}
+	s.shared[k] = total // racing builders store the same number
 	s.mu.Unlock()
-	return sd, nil
+	return total, nil
 }
 
 // Stats snapshots the counters.

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jet"
 )
 
 func smallJet() core.Config {
@@ -358,33 +361,104 @@ func TestKeyAliasing(t *testing.T) {
 	}
 }
 
-// TestKeyCoversRunFields is the regression test for the cache-aliasing
-// bug: keyOf omitted the steadiness tolerance and every parallel-in-time
-// field, so jobs differing only in those were served one another's
-// fields. Perturbing each on an otherwise-equal canonical config must
-// change the key.
-func TestKeyCoversRunFields(t *testing.T) {
-	base, err := core.Config{Nx: 64, Nr: 24, Steps: 8, Backend: "mp2d", Procs: 2,
-		TimeSlices: 2, PararealIters: 1, CoarseFactor: 2, DefectTol: 1e-3}.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		field   string
-		perturb func(*core.Config)
-	}{
-		{"SteadyTol", func(c *core.Config) { c.SteadyTol = 1e-3 }},
-		{"TimeSlices", func(c *core.Config) { c.TimeSlices = 4 }},
-		{"PararealIters", func(c *core.Config) { c.PararealIters = 2 }},
-		{"CoarseFactor", func(c *core.Config) { c.CoarseFactor = 1 }},
-		{"DefectTol", func(c *core.Config) { c.DefectTol = math.Nextafter(c.DefectTol, 1) }},
-		{"FineBackend", func(c *core.Config) { c.FineBackend = "hybrid" }},
-	} {
-		other := base
-		c.perturb(&other)
-		if keyOf(other) == keyOf(base) {
-			t.Errorf("configs differing only in %s share a cache key", c.field)
+// keyPerturbed and keyFolded are the decision TestKeyCoversEveryField
+// demands for every field of core.Config and (as "Jet.<Field>") of
+// jet.Config: a perturbed value that must change the key, or a
+// respelling Canonical folds away, which must not. A field in neither
+// fails the test, so growing either struct forces the question "is this
+// run identity?" to be answered where the answer is checked.
+var keyPerturbed = map[string]any{
+	"Scenario":      "channel",
+	"Nx":            65,
+	"Nr":            25,
+	"Steps":         9,
+	"Backend":       "hybrid",
+	"Procs":         4,
+	"Workers":       2,
+	"Px":            2,
+	"Pr":            2,
+	"Version":       6,
+	"Balance":       "flops",
+	"FreshHalos":    true,
+	"HaloDepth":     2,
+	"ReduceGroup":   2,
+	"StopTol":       1e-4,
+	"ReduceEvery":   5,
+	"SteadyTol":     1e-3,
+	"TimeSlices":    3,
+	"PararealIters": 2,
+	"CoarseFactor":  1,
+	"DefectTol":     math.Nextafter(1e-3, 1),
+	"FineBackend":   "hybrid",
+
+	"Jet.MachCenter": 1.6,
+	"Jet.TempRatio":  0.6,
+	"Jet.Theta":      0.2,
+	"Jet.Strouhal":   0.2,
+	"Jet.Eps":        2e-4,
+	"Jet.UCoflow":    0.2,
+	"Jet.Reynolds":   500.0,
+	"Jet.Viscous":    false,
+}
+
+var keyFolded = map[string]func(*core.Config){
+	// Recomputed from the resolved Jet.Viscous.
+	"Euler": func(c *core.Config) { c.Euler = !c.Euler },
+	// The pointer is not identity; the values it points to are.
+	"Jet": func(c *core.Config) { jc := *c.Jet; c.Jet = &jc },
+}
+
+// TestKeyCoversEveryField walks core.Config and jet.Config by
+// reflection: perturbing each field on a canonical base (a spatial one,
+// or a parareal one for the fields that are inert without time slices)
+// must change serve.Key, unless the field is recorded as folded by
+// Canonical — and then its respelling must not change it.
+func TestKeyCoversEveryField(t *testing.T) {
+	spatial := core.Config{Nx: 64, Nr: 24, Steps: 8, Backend: "mp2d", Procs: 2}
+	parareal := spatial
+	parareal.TimeSlices, parareal.PararealIters, parareal.CoarseFactor, parareal.DefectTol = 2, 1, 2, 1e-3
+	// moved counts the canonical bases on which set changes the key.
+	moved := func(set func(*core.Config)) int {
+		n := 0
+		for _, spelled := range []core.Config{spatial, parareal} {
+			base, err := spelled.Canonical()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := keyOf(base)
+			set(&base)
+			if got, err := Key(base); err == nil && got != want {
+				n++
+			}
 		}
+		return n
+	}
+	check := func(name string, set func(c *core.Config, v reflect.Value)) {
+		v, perturbed := keyPerturbed[name]
+		respell, folded := keyFolded[name]
+		switch {
+		case perturbed == folded:
+			t.Errorf("field %s needs exactly one decision: a keyPerturbed value (run identity) or a keyFolded respelling (folded by Canonical)", name)
+		case folded && moved(respell) != 0:
+			t.Errorf("%s is recorded as folded but its respelling moves the key", name)
+		case perturbed && moved(func(c *core.Config) { set(c, reflect.ValueOf(v)) }) == 0:
+			t.Errorf("configs differing only in %s share a cache key", name)
+		}
+	}
+	ct := reflect.TypeOf(core.Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		check(ct.Field(i).Name, func(c *core.Config, v reflect.Value) {
+			reflect.ValueOf(c).Elem().Field(i).Set(v)
+		})
+	}
+	jt := reflect.TypeOf(jet.Config{})
+	for i := 0; i < jt.NumField(); i++ {
+		check("Jet."+jt.Field(i).Name, func(c *core.Config, v reflect.Value) {
+			reflect.ValueOf(c.Jet).Elem().Field(i).Set(v)
+		})
+	}
+	if n := ct.NumField() + jt.NumField(); len(keyPerturbed)+len(keyFolded) != n {
+		t.Errorf("%d decisions for %d fields: remove the stale ones", len(keyPerturbed)+len(keyFolded), n)
 	}
 }
 
@@ -404,5 +478,162 @@ func TestJobConfig(t *testing.T) {
 	plain := Job{Nx: 64, Nr: 24, Steps: 5}.Config()
 	if plain.Jet != nil {
 		t.Fatal("no overrides must leave Jet nil (scenario default physics)")
+	}
+}
+
+// TestJobCoversConfig keeps the wire struct in step with core.Config by
+// reflection: every Job field except the client tag and the two physics
+// overrides must arrive intact in exactly one Config field, and together
+// they must reach every Config field except Jet (which Reynolds and Eps
+// build). A Config field the wire cannot spell, or a Job field
+// Job.Config drops, fails here.
+func TestJobCoversConfig(t *testing.T) {
+	reached := map[string]string{} // Config field → the Job field that sets it
+	jt := reflect.TypeOf(Job{})
+	ct := reflect.TypeOf(core.Config{})
+	for i := 0; i < jt.NumField(); i++ {
+		name := jt.Field(i).Name
+		if name == "ID" || name == "Reynolds" || name == "Eps" {
+			continue
+		}
+		var job Job
+		f := reflect.ValueOf(&job).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(100 + i))
+		case reflect.Float64:
+			f.SetFloat(0.5 + float64(i))
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.String:
+			f.SetString(fmt.Sprintf("value-%d", i))
+		default:
+			t.Fatalf("Job.%s has kind %s: teach this test to set it", name, f.Kind())
+		}
+		cfg := reflect.ValueOf(job.Config())
+		var hit []string
+		for k := 0; k < ct.NumField(); k++ {
+			if cv := cfg.Field(k); !cv.IsZero() {
+				hit = append(hit, ct.Field(k).Name)
+				if cv.Kind() != f.Kind() || !cv.Equal(f) {
+					t.Errorf("Job.%s = %v arrived as Config.%s = %v", name, f, ct.Field(k).Name, cv)
+				}
+			}
+		}
+		if len(hit) != 1 {
+			t.Errorf("Job.%s set Config fields %v, want exactly one", name, hit)
+			continue
+		}
+		if prev, dup := reached[hit[0]]; dup {
+			t.Errorf("Job.%s and Job.%s both set Config.%s", prev, name, hit[0])
+		}
+		reached[hit[0]] = name
+	}
+	for k := 0; k < ct.NumField(); k++ {
+		if name := ct.Field(k).Name; name != "Jet" && reached[name] == "" {
+			t.Errorf("no Job field reaches Config.%s: the wire cannot spell it", name)
+		}
+	}
+}
+
+// TestAdmissionCountsTimeSlices is the regression test for the
+// admission under-count: a parareal job runs TimeSlices × ranks
+// goroutines, so two 4-slice × 2-rank jobs must not share 8 slots.
+func TestAdmissionCountsTimeSlices(t *testing.T) {
+	s := New(Options{Slots: 8})
+	defer s.Close()
+	job := core.Config{Nx: 96, Nr: 40, Steps: 80, Backend: "parareal", FineBackend: "mp:v5",
+		Procs: 2, TimeSlices: 4, PararealIters: 4}
+	var wg sync.WaitGroup
+	submit := func(c core.Config) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Submit(c); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	submit(job)
+	waitFor(t, func() bool { return s.Stats().Running == 1 })
+	job.Steps++ // a distinct run, not a coalesced duplicate
+	submit(job)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	peak := 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			peak = max(peak, s.Stats().Running)
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if peak > 1 {
+		t.Errorf("two 8-wide parareal jobs ran at once on 8 slots (peak running %d)", peak)
+	}
+
+	// Per-rank workers of a hybrid fine propagator count too.
+	hybrid := core.Config{Backend: "parareal", FineBackend: "hybrid", Procs: 2, Workers: 3, TimeSlices: 2}
+	if w := New(Options{Slots: 64}).widthOf(hybrid); w != 12 {
+		t.Errorf("2 slices × 2 ranks × 3 workers admitted at width %d, want 12", w)
+	}
+}
+
+// TestEqualKeysEqualFields is the randomized cache-soundness property:
+// over seed-drawn spellings on a small grid, configs with equal keys
+// produce bitwise-equal momentum fields — equivalently, runs whose
+// fields differ never share a key.
+func TestEqualKeysEqualFields(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	pick := func(n int) int { return rng.Intn(n) }
+	backends := []string{"", "serial", "shm", "mp:v5", "mp:v6", "mp", "mp2d", "mp2d:v6", "hybrid"}
+	byKey := map[string]string{}
+	ran, shared := 0, 0
+	for draw := 0; draw < 300; draw++ {
+		c := core.Config{Nx: 48, Nr: 20, Steps: 3,
+			Backend: backends[pick(len(backends))], Procs: pick(3),
+			Version: []int{0, 0, 5, 6}[pick(4)], FreshHalos: pick(2) == 0, HaloDepth: pick(3),
+			ReduceGroup: pick(2), Euler: pick(4) == 0, TimeSlices: []int{0, 0, 1, 2}[pick(4)]}
+		if pick(2) == 0 {
+			c.Scenario = "jet"
+		}
+		if pick(3) == 0 {
+			c.Balance = "uniform"
+		}
+		if pick(3) == 0 {
+			c.PararealIters = 2
+		}
+		if pick(4) == 0 {
+			jc := jet.Paper()
+			jc.Reynolds = []float64{500, 1.2e6}[pick(2)]
+			c.Jet = &jc
+		}
+		key, err := Key(c)
+		if err != nil {
+			continue // a contradiction has no key and no run
+		}
+		run, err := core.NewRun(c)
+		if err != nil {
+			continue // the registry rejected the spelling
+		}
+		res, err := run.Execute()
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		ran++
+		sum := MomentumChecksum(res.Momentum)
+		if prev, ok := byKey[key]; ok {
+			shared++
+			if prev != sum {
+				t.Fatalf("key %s names two different fields; second spelling %+v", key, c)
+			}
+		}
+		byKey[key] = sum
+	}
+	t.Logf("%d runs, %d key collisions", ran, shared)
+	if ran < 100 || shared < 20 {
+		t.Fatalf("property under-exercised: %d runs, %d key collisions", ran, shared)
 	}
 }

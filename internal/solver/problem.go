@@ -23,9 +23,9 @@ type WallSpec struct {
 func (w WallSpec) Any() bool { return w.Left || w.Right || w.Bottom || w.Top }
 
 // Problem binds a flow scenario's boundary conditions and initial state
-// to the slab engine. A nil *Problem (and the zero value) reproduces
-// the built-in excited jet bitwise — every existing call path passes
-// nil and is untouched.
+// to the slab engine. The zero value (and a nil *Problem) reproduces
+// the built-in excited jet bitwise: the registered jet scenario passes
+// the zero value, direct solver/par callers may pass nil.
 type Problem struct {
 	Name string
 	// Inflow builds the left-boundary Dirichlet source. nil with

@@ -1,0 +1,28 @@
+#!/usr/bin/env bash
+# CLI smoke: drives the flag binding of jetsim and the job decoding of
+# jetsimd end to end (cmd/ has no unit tests). Run from the repo root.
+set -euo pipefail
+
+# Flags reach the run description: an explicit 2x1 rank grid, exact halos.
+go run ./cmd/jetsim -nx 64 -nr 24 -steps 4 -backend mp2d -px 2 -pr 1 -fresh
+
+# A contradictory flag pair is rejected by Config.Canonical.
+if go run ./cmd/jetsim -nx 64 -nr 24 -steps 4 -fresh -halo-depth 2; then
+	echo "cli smoke: -fresh -halo-depth 2 was accepted" >&2
+	exit 1
+fi
+
+# Two alias spellings of one job are one cache line: one of the two
+# concurrently served results is the cold run, the other its cached
+# replay, under one key with one momentum checksum.
+out=$(printf '%s\n' \
+	'{"id":"spelled","backend":"mp2d","version":6,"procs":2,"nx":64,"nr":24,"steps":4}' \
+	'{"id":"pinned","backend":"mp2d:v6","procs":2,"nx":64,"nr":24,"steps":4}' |
+	go run ./cmd/jetsimd -batch)
+echo "$out"
+distinct() { grep -o "\"$1\": \"[0-9a-f]*\"" <<<"$out" | sort -u | wc -l; }
+[ "$(grep -c '"ok": true' <<<"$out")" -eq 2 ] || { echo "cli smoke: a job failed" >&2; exit 1; }
+[ "$(grep -c '"cached": true' <<<"$out")" -eq 1 ] || { echo "cli smoke: alias spelling missed the cache" >&2; exit 1; }
+[ "$(distinct key)" -eq 1 ] || { echo "cli smoke: alias spellings got different keys" >&2; exit 1; }
+[ "$(distinct momentum_sha256)" -eq 1 ] || { echo "cli smoke: cached field differs from the cold run" >&2; exit 1; }
+echo "cli smoke: ok"
