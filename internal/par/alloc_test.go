@@ -22,6 +22,17 @@ func axialPair(t *testing.T) *decomp.Grid2D {
 	return d
 }
 
+// exchangePair returns one complete two-rank exchange of b0/b1 in
+// direction d: both ranks start, then both finish.
+func exchangePair(d solver.Dir, h0, h1 *rankHalo, b0, b1 *flux.State) func() {
+	return func() {
+		h0.Start(d, solver.KPrims, b0)
+		h1.Start(d, solver.KPrims, b1)
+		h0.Finish(d, solver.KPrims, b0)
+		h1.Finish(d, solver.KPrims, b1)
+	}
+}
+
 // TestHaloExchangeSteadyStateAllocs locks in the allocation-free
 // exchange path: with the staging buffers sized at construction and the
 // message layer recycling payloads, a full two-rank halo exchange
@@ -32,20 +43,15 @@ func TestHaloExchangeSteadyStateAllocs(t *testing.T) {
 	for _, v := range []Version{V5, V7} {
 		t.Run(fmt.Sprintf("V%d", int(v)), func(t *testing.T) {
 			w := msg.NewWorld(2)
-			h0 := newRankHalo(w.Comm(0), axialPair(t), 0, n, nr, v, 0, solver.WallSpec{})
-			h1 := newRankHalo(w.Comm(1), axialPair(t), 1, n, nr, v, 0, solver.WallSpec{})
+			h0 := newRankHalo(w.Comm(0), axialPair(t), 0, n, nr, v, 0)
+			h1 := newRankHalo(w.Comm(1), axialPair(t), 1, n, nr, v, 0)
 			b0 := flux.NewState(n, nr)
 			b1 := flux.NewState(n, nr)
 			for k := range b0 {
 				b0[k].FillAll(1)
 				b1[k].FillAll(2)
 			}
-			exchange := func() {
-				h0.Start(solver.KPrims, b0)
-				h1.Start(solver.KPrims, b1)
-				h0.Finish(solver.KPrims, b0)
-				h1.Finish(solver.KPrims, b1)
-			}
+			exchange := exchangePair(solver.Axial, h0, h1, b0, b1)
 			exchange() // prime the message-layer free list
 			if b0[0].At(n, 0) != 2 || b1[0].At(-1, 0) != 1 {
 				t.Fatal("halo exchange did not deliver neighbour columns")
@@ -67,20 +73,15 @@ func TestRadialExchangeSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := msg.NewWorld(2)
-	h0 := newRankHalo(w.Comm(0), d, 0, nx, nrLoc, V5, 0, solver.WallSpec{})
-	h1 := newRankHalo(w.Comm(1), d, 1, nx, nrLoc, V5, 0, solver.WallSpec{})
+	h0 := newRankHalo(w.Comm(0), d, 0, nx, nrLoc, V5, 0)
+	h1 := newRankHalo(w.Comm(1), d, 1, nx, nrLoc, V5, 0)
 	b0 := flux.NewState(nx, nrLoc)
 	b1 := flux.NewState(nx, nrLoc)
 	for k := range b0 {
 		b0[k].FillAll(1)
 		b1[k].FillAll(2)
 	}
-	exchange := func() {
-		h0.StartR(solver.KPrims, b0)
-		h1.StartR(solver.KPrims, b1)
-		h0.FinishR(solver.KPrims, b0)
-		h1.FinishR(solver.KPrims, b1)
-	}
+	exchange := exchangePair(solver.Radial, h0, h1, b0, b1)
 	exchange() // prime the message-layer free list
 	if b0[0].At(0, nrLoc) != 2 || b1[0].At(0, -1) != 1 {
 		t.Fatal("radial exchange did not deliver neighbour rows")
@@ -113,20 +114,15 @@ func TestWeightedExchangeSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("profile did not skew the split: widths %v", d.Widths())
 	}
 	w := msg.NewWorld(2)
-	h0 := newRankHalo(w.Comm(0), axialPair(t), 0, w0, nr, V5, 0, solver.WallSpec{})
-	h1 := newRankHalo(w.Comm(1), axialPair(t), 1, w1, nr, V5, 0, solver.WallSpec{})
+	h0 := newRankHalo(w.Comm(0), axialPair(t), 0, w0, nr, V5, 0)
+	h1 := newRankHalo(w.Comm(1), axialPair(t), 1, w1, nr, V5, 0)
 	b0 := flux.NewState(w0, nr)
 	b1 := flux.NewState(w1, nr)
 	for k := range b0 {
 		b0[k].FillAll(1)
 		b1[k].FillAll(2)
 	}
-	exchange := func() {
-		h0.Start(solver.KPrims, b0)
-		h1.Start(solver.KPrims, b1)
-		h0.Finish(solver.KPrims, b0)
-		h1.Finish(solver.KPrims, b1)
-	}
+	exchange := exchangePair(solver.Axial, h0, h1, b0, b1)
 	exchange() // prime the message-layer free list
 	if b0[0].At(w0, 0) != 2 || b1[0].At(-1, 0) != 1 {
 		t.Fatal("weighted axial exchange did not deliver neighbour columns")
@@ -151,20 +147,15 @@ func TestWeightedExchangeSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("row profile did not skew the split: heights %d, %d", nr0, nr1)
 	}
 	w2 := msg.NewWorld(2)
-	g0 := newRankHalo(w2.Comm(0), g2, 0, nx, nr0, V5, 0, solver.WallSpec{})
-	g1 := newRankHalo(w2.Comm(1), g2, 1, nx, nr1, V5, 0, solver.WallSpec{})
+	g0 := newRankHalo(w2.Comm(0), g2, 0, nx, nr0, V5, 0)
+	g1 := newRankHalo(w2.Comm(1), g2, 1, nx, nr1, V5, 0)
 	c0 := flux.NewState(nx, nr0)
 	c1 := flux.NewState(nx, nr1)
 	for k := range c0 {
 		c0[k].FillAll(1)
 		c1[k].FillAll(2)
 	}
-	rowExchange := func() {
-		g0.StartR(solver.KPrims, c0)
-		g1.StartR(solver.KPrims, c1)
-		g0.FinishR(solver.KPrims, c0)
-		g1.FinishR(solver.KPrims, c1)
-	}
+	rowExchange := exchangePair(solver.Radial, g0, g1, c0, c1)
 	rowExchange()
 	if c0[0].At(0, nr0) != 2 || c1[0].At(0, -1) != 1 {
 		t.Fatal("weighted radial exchange did not deliver neighbour rows")
@@ -208,11 +199,11 @@ func TestAllreduceSteadyStateAllocs(t *testing.T) {
 }
 
 // TestOverlappedExchangeSteadyStateAllocs covers the Version-6 schedule
-// on a 2-D block: both directions' sends initiated up front
-// (Start/StartR), receives completed later (Finish/FinishR) — the
-// split the overlapped operators interleave with the interior core.
-// The staging buffers and the message free list must keep this path at
-// zero allocations in steady state, exactly like the fused Fill path.
+// on a 2-D block: both directions' sends initiated up front, receives
+// completed later — the split the overlapped operators interleave with
+// the interior core. The staging buffers and the message free list must
+// keep this path at zero allocations in steady state, exactly like the
+// back-to-back exchange.
 func TestOverlappedExchangeSteadyStateAllocs(t *testing.T) {
 	const nx, nrLoc = 8, 8
 	d, err := decomp.NewGrid2D(2*nx, 2*nrLoc, 2, 2)
@@ -223,7 +214,7 @@ func TestOverlappedExchangeSteadyStateAllocs(t *testing.T) {
 	halos := make([]*rankHalo, 4)
 	bufs := make([]*flux.State, 4)
 	for r := 0; r < 4; r++ {
-		halos[r] = newRankHalo(w.Comm(r), d, r, nx, nrLoc, V6, 0, solver.WallSpec{})
+		halos[r] = newRankHalo(w.Comm(r), d, r, nx, nrLoc, V6, 0)
 		bufs[r] = flux.NewState(nx, nrLoc)
 		for k := range bufs[r] {
 			bufs[r][k].FillAll(float64(r + 1))
@@ -231,12 +222,12 @@ func TestOverlappedExchangeSteadyStateAllocs(t *testing.T) {
 	}
 	exchange := func() {
 		for r := 0; r < 4; r++ {
-			halos[r].Start(solver.KPrims, bufs[r])
-			halos[r].StartR(solver.KPrims, bufs[r])
+			halos[r].Start(solver.Axial, solver.KPrims, bufs[r])
+			halos[r].Start(solver.Radial, solver.KPrims, bufs[r])
 		}
 		for r := 0; r < 4; r++ {
-			halos[r].Finish(solver.KPrims, bufs[r])
-			halos[r].FinishR(solver.KPrims, bufs[r])
+			halos[r].Finish(solver.Axial, solver.KPrims, bufs[r])
+			halos[r].Finish(solver.Radial, solver.KPrims, bufs[r])
 		}
 	}
 	exchange() // prime the message-layer free list

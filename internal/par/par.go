@@ -5,8 +5,8 @@
 // exchanges — ghost columns left/right, ghost rows down/up — travel
 // through the PVM-like message layer of internal/msg. The paper's
 // axial-only decomposition is the shape Px×1: its ranks have no down/up
-// neighbours, so the radial halo degenerates to the serial
-// mirror/extrapolation and nothing else distinguishes it.
+// neighbours, so they never trade ghost rows (every slab fills its
+// physical sides itself) and nothing else distinguishes it.
 //
 // The three communication strategies the paper evaluates are all
 // implemented:
@@ -287,7 +287,7 @@ func NewRunner(cfg jet.Config, g *grid.Grid, opt Options) (*Runner, error) {
 		left, right, down, up := d.Neighbors(rank)
 		extL, extR, extB, extT := shell(left), shell(right), shell(down), shell(up)
 		comm := world.Comm(rank)
-		h := newRankHalo(comm, d, rank, nxloc+extL+extR, nrloc+extB+extT, opt.Version, ext, opt.Prob.Walls())
+		h := newRankHalo(comm, d, rank, nxloc+extL+extR, nrloc+extB+extT, opt.Version, ext)
 		sl, err := solver.NewSlabProblem(cfg, opt.Prob, g, gm, i0-extL, nxloc+extL+extR, j0-extB, nrloc+extB+extT, h, opt.Policy)
 		if err != nil {
 			return nil, err

@@ -90,6 +90,15 @@ func TestRankGridVersions(t *testing.T) {
 	if d5 != d6 {
 		t.Errorf("V6 direction split %+v != V5 %+v", d6, d5)
 	}
+	// Under the default Lagged policy no serial reference exists, so the
+	// overlapped schedule is pinned to the grouped one directly: every
+	// ghost a kernel reads is filled from the same data in both.
+	f5, f6 := r.GatherState(), r6.GatherState()
+	for k := range f5 {
+		if !f5[k].Equal(f6[k]) {
+			t.Errorf("lagged V6 component %d differs from V5 (max %g)", k, f6[k].MaxAbsDiff(f5[k]))
+		}
+	}
 }
 
 // TestRankGridShapeResolution: explicit, derived, and automatic shapes.

@@ -57,8 +57,8 @@ func TestWideExchangeSteadyStateAllocs(t *testing.T) {
 	const core, nr, ext = 8, 16, 4
 	n := core + ext // one interior side each
 	w := msg.NewWorld(2)
-	h0 := newRankHalo(w.Comm(0), axialPair(t), 0, n, nr, V5, ext, solver.WallSpec{})
-	h1 := newRankHalo(w.Comm(1), axialPair(t), 1, n, nr, V5, ext, solver.WallSpec{})
+	h0 := newRankHalo(w.Comm(0), axialPair(t), 0, n, nr, V5, ext)
+	h1 := newRankHalo(w.Comm(1), axialPair(t), 1, n, nr, V5, ext)
 	b0 := flux.NewState(n, nr)
 	b1 := flux.NewState(n, nr)
 	for k := range b0 {
@@ -67,17 +67,17 @@ func TestWideExchangeSteadyStateAllocs(t *testing.T) {
 	}
 	go func() {
 		for {
-			h1.Start(solver.KPrims, b1)
-			h1.Finish(solver.KPrims, b1)
+			h1.Start(solver.Axial, solver.KPrims, b1)
+			h1.Finish(solver.Axial, solver.KPrims, b1)
 			h1.Refresh(b1)
-			h1.FillEdges(solver.KPrims, b1)
+			h1.Skip(solver.Axial, solver.KPrims)
 		}
 	}()
 	step := func() {
-		h0.Start(solver.KPrims, b0)
-		h0.Finish(solver.KPrims, b0)
+		h0.Start(solver.Axial, solver.KPrims, b0)
+		h0.Finish(solver.Axial, solver.KPrims, b0)
 		h0.Refresh(b0)
-		h0.FillEdges(solver.KPrims, b0)
+		h0.Skip(solver.Axial, solver.KPrims)
 	}
 	step() // prime the message-layer free list
 	// The refresh must have landed the neighbour's core data in the

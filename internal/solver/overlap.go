@@ -15,25 +15,25 @@ import (
 //
 // The restructuring is defined for any sub-rectangle slab: each sweep
 // splits into a 2-D interior core plus an edge frame. Columns touching
-// axial ghost data wait for Finish, rows touching in-flight radial
-// ghost rows wait for FinishR; physical radial sides are filled eagerly
-// (the mirror/extrapolation is local), so their edge rows join the
-// core, and the axial-only decomposition degenerates to the paper's
-// full-height column split. All loops — core and frame alike — are
-// dispatched through s.pfor so the overlap composes with the hybrid
-// backend's per-rank DOALL pool, and every region runs one of the
-// prebuilt loop bodies (see bindKernels): the operators re-point the
-// stage context between fork-joins instead of building closures, so
-// the overlapped path is allocation-free too.
+// interior axial ghosts wait for the Axial Finish, rows touching
+// in-flight radial ghost rows for the Radial one; physical sides are
+// filled at once by startFill (the mirror/extrapolation is local), so
+// their edge rows join the core, and the axial-only decomposition
+// degenerates to the paper's full-height column split. All loops — core
+// and frame alike — are dispatched through s.pfor so the overlap
+// composes with the hybrid backend's per-rank DOALL pool, and every
+// region runs one of the prebuilt loop bodies (see bindKernels): the
+// operators re-point the stage context between fork-joins instead of
+// building closures, so the overlapped path is allocation-free too.
 
 // coreRows returns the rows of the stress/flux interior core — the
-// rows whose radial ghost dependencies are satisfied before FinishR.
-// A physical side's mirror/extrapolation is applied eagerly (it is
-// local), so its edge row joins the core; an interior side's ghost
-// rows are in flight while the core runs, so its edge row waits in
-// the frame — unless this sweep skips the exchange (exchanging=false,
-// the lagged case), in which case the ghost rows already hold their
-// lagged contents and every row is core.
+// rows whose radial ghost dependencies are satisfied before the Radial
+// Finish. A physical side's mirror/extrapolation is applied eagerly (it
+// is local), so its edge row joins the core; an interior side's ghost
+// rows are in flight while the core runs, so its edge row waits in the
+// frame — unless this sweep skips the exchange (exchanging=false, the
+// lagged case), in which case the ghost rows already hold their lagged
+// contents and every row is core.
 func (s *Slab) coreRows(exchanging bool) (lo, hi int) {
 	lo, hi = 0, s.NrLoc
 	if exchanging && !s.Bottom {
@@ -65,10 +65,11 @@ func (s *Slab) frameX(s1lo, s1hi, rlo, rhi int) {
 	}
 }
 
-// opXOverlap is the Version-6 axial operator. Communication pattern and
-// ghost-fill order match opX exactly (sends are merely initiated
-// earlier, and packing reads interior values only), so the result is
-// bitwise identical to the non-overlapped operator.
+// opXOverlap is the Version-6 axial operator. Ghost fills run in the
+// order opX runs them (sends are merely initiated earlier, packing reads
+// interior values only, and the physical edges read only owned points
+// that are final by then), so the result is bitwise identical to the
+// non-overlapped operator.
 func (s *Slab) opXOverlap(v scheme.Variant) {
 	gm, g := s.Gas, s.Grid
 	visc := s.Cfg.Viscous
@@ -91,22 +92,23 @@ func (s *Slab) opXOverlap(v scheme.Variant) {
 		s.pfor(0, n, s.fnPrims)
 	}
 	s.wReady = false
-	s.Halo.FillREdges(KPrims, s.W) // physical radial ghosts: local, filled eagerly
-	s.Halo.Start(KPrims, s.W)
+	s.startFill(Axial, KPrims, s.W)
 	if fresh {
-		s.Halo.StartR(KPrims, s.W)
+		s.startFill(Radial, KPrims, s.W)
+	} else {
+		s.edges(Radial, KPrims, s.W)
 	}
 	c.f = s.F
 	c.j0, c.j1 = rlo, rhi
 	s.pfor(s1lo, s1hi, s.fnStressFluxX)
-	s.Halo.Finish(KPrims, s.W)
+	s.Halo.Finish(Axial, KPrims, s.W)
 	if fresh {
-		s.Halo.ReceiveR(KPrims, s.W) // physical sides were filled eagerly
+		s.Halo.Finish(Radial, KPrims, s.W)
 	}
 	s.frameX(s1lo, s1hi, rlo, rhi)
-	s.Halo.Start(KFlux, s.F)
+	s.startFill(Axial, KFlux, s.F)
 	s.pfor(p2lo, p2hi, s.fnPredictX)
-	s.Halo.Finish(KFlux, s.F)
+	s.Halo.Finish(Axial, KFlux, s.F)
 	s.pfor(0, p2lo, s.fnPredictX)
 	s.pfor(p2hi, n, s.fnPredictX)
 	// Boundary columns (no primitive fixups here: the overlapped stages
@@ -129,25 +131,26 @@ func (s *Slab) opXOverlap(v scheme.Variant) {
 	s.pfor(0, n, s.fnPrims)
 	c.f = s.FP
 	if visc {
-		s.Halo.FillREdges(KPredPrims, s.WP)
-		s.Halo.Start(KPredPrims, s.WP)
+		s.startFill(Axial, KPredPrims, s.WP)
 		if fresh {
-			s.Halo.StartR(KPredPrims, s.WP)
+			s.startFill(Radial, KPredPrims, s.WP)
+		} else {
+			s.edges(Radial, KPredPrims, s.WP)
 		}
 		c.j0, c.j1 = rlo, rhi
 		s.pfor(s1lo, s1hi, s.fnStressFluxX)
-		s.Halo.Finish(KPredPrims, s.WP)
+		s.Halo.Finish(Axial, KPredPrims, s.WP)
 		if fresh {
-			s.Halo.ReceiveR(KPredPrims, s.WP) // physical sides were filled eagerly
+			s.Halo.Finish(Radial, KPredPrims, s.WP)
 		}
 		s.frameX(s1lo, s1hi, rlo, rhi)
 	} else {
 		c.j0, c.j1 = 0, nr
 		s.pfor(0, n, s.fnStressFluxX)
 	}
-	s.Halo.Start(KPredFlux, s.FP)
+	s.startFill(Axial, KPredFlux, s.FP)
 	s.pfor(p2lo, p2hi, s.fnCorrectX)
-	s.Halo.Finish(KPredFlux, s.FP)
+	s.Halo.Finish(Axial, KPredFlux, s.FP)
 	s.pfor(0, p2lo, s.fnCorrectX)
 	s.pfor(p2hi, n, s.fnCorrectX)
 
@@ -223,24 +226,23 @@ func (s *Slab) opROverlap(v scheme.Variant) {
 	}
 	s.wReady = false
 	if fresh {
-		s.Halo.Start(KPrimsR, s.W)
+		s.startFill(Axial, KPrimsR, s.W)
 	} else {
-		s.Halo.FillEdges(KPrimsR, s.W)
+		s.edges(Axial, KPrimsR, s.W)
 	}
-	s.Halo.FillREdges(KPrimsR, s.W) // physical radial ghosts: local, filled eagerly
-	s.Halo.StartR(KPrimsR, s.W)
+	s.startFill(Radial, KPrimsR, s.W)
 	c.f, c.src = s.F, s.Src
 	c.j0, c.j1 = rlo, rhi
 	s.pfor(c1lo, c1hi, s.fnStressFluxR)
 	if fresh {
-		s.Halo.Finish(KPrimsR, s.W)
+		s.Halo.Finish(Axial, KPrimsR, s.W)
 	}
-	s.Halo.ReceiveR(KPrimsR, s.W) // physical sides were filled eagerly
+	s.Halo.Finish(Radial, KPrimsR, s.W)
 	s.frameR(c1lo, c1hi, rlo, rhi)
-	s.Halo.StartR(KFlux, s.F)
+	s.startFill(Radial, KFlux, s.F)
 	c.j0, c.j1 = p2lo, p2hi
 	s.pfor(0, n, s.fnPredictRRows)
-	s.Halo.FinishR(KFlux, s.F)
+	s.Halo.Finish(Radial, KFlux, s.F)
 	s.pfor(0, n, s.fnPredictREdges)
 	if s.Left {
 		if s.leftWall {
@@ -257,24 +259,23 @@ func (s *Slab) opROverlap(v scheme.Variant) {
 	c.q, c.w = s.QP, s.WP
 	s.pfor(0, n, s.fnPrims)
 	if fresh {
-		s.Halo.Start(KPredPrimsR, s.WP)
+		s.startFill(Axial, KPredPrimsR, s.WP)
 	} else {
-		s.Halo.FillEdges(KPredPrimsR, s.WP)
+		s.edges(Axial, KPredPrimsR, s.WP)
 	}
-	s.Halo.FillREdges(KPredPrimsR, s.WP)
-	s.Halo.StartR(KPredPrimsR, s.WP)
+	s.startFill(Radial, KPredPrimsR, s.WP)
 	c.f, c.src = s.FP, s.SrcP
 	c.j0, c.j1 = rlo, rhi
 	s.pfor(c1lo, c1hi, s.fnStressFluxR)
 	if fresh {
-		s.Halo.Finish(KPredPrimsR, s.WP)
+		s.Halo.Finish(Axial, KPredPrimsR, s.WP)
 	}
-	s.Halo.ReceiveR(KPredPrimsR, s.WP) // physical sides were filled eagerly
+	s.Halo.Finish(Radial, KPredPrimsR, s.WP)
 	s.frameR(c1lo, c1hi, rlo, rhi)
-	s.Halo.StartR(KPredFlux, s.FP)
+	s.startFill(Radial, KPredFlux, s.FP)
 	c.j0, c.j1 = p2lo, p2hi
 	s.pfor(0, n, s.fnCorrectRRows)
-	s.Halo.FinishR(KPredFlux, s.FP)
+	s.Halo.Finish(Radial, KPredFlux, s.FP)
 	s.pfor(0, n, s.fnCorrectREdges)
 
 	if s.Top && !s.topWall {

@@ -1,116 +1,9 @@
 package solver
 
 import (
-	"repro/internal/flux"
 	"repro/internal/grid"
 	"repro/internal/jet"
 )
-
-// EdgeHalo implements Halo for a slab whose side(s) coincide with the
-// physical domain boundary. The default (zero Wall) treatment is the
-// jet's: ghost columns are cubically extrapolated, matching the paper's
-// artificial-point treatment, ghost rows get the axis parity mirror
-// (Bottom) and the far-field cubic extrapolation (Top). Sides flagged
-// in Wall get the solid-wall mirror treatment instead, which differs
-// between the primitive and flux bundles — wall fills are therefore
-// Kind-sensitive (see FillEdgesKind), while the jet treatment ignores
-// the Kind. Interior sides (when a side is not an edge) must be handled
-// by a wrapping exchanger; the zero value fills nothing.
-type EdgeHalo struct {
-	Left, Right bool
-	Bottom, Top bool
-	// Wall selects the solid-wall ghost treatment per physical side
-	// (scenario problems); consulted only for sides whose edge flag
-	// above is set.
-	Wall WallSpec
-}
-
-// FullDomain is the EdgeHalo of a slab spanning the whole domain: every
-// side is a physical boundary.
-func FullDomain() EdgeHalo { return EdgeHalo{Left: true, Right: true, Bottom: true, Top: true} }
-
-// fluxKind reports whether k tags a sweep-direction flux bundle, whose
-// wall ghosts take the flux parity map rather than the primitive one.
-func fluxKind(k Kind) bool { return k == KFlux || k == KPredFlux }
-
-// Fill implements Halo.
-func (h EdgeHalo) Fill(k Kind, b *flux.State) { h.FillEdgesKind(k, b) }
-
-// Start implements Halo; there is nothing to send.
-func (h EdgeHalo) Start(_ Kind, _ *flux.State) {}
-
-// Finish implements Halo by applying the physical edge treatment.
-func (h EdgeHalo) Finish(k Kind, b *flux.State) { h.FillEdgesKind(k, b) }
-
-// FillEdges implements Halo.
-func (h EdgeHalo) FillEdges(k Kind, b *flux.State) { h.FillEdgesKind(k, b) }
-
-// Refresh implements Halo; an edge halo carries no redundant shell.
-func (h EdgeHalo) Refresh(_ *flux.State) {}
-
-// FillEdgesKind fills the axial ghost columns of the owned physical
-// sides: cubic extrapolation on jet sides (Kind-independent), the
-// bundle-appropriate wall mirror on wall sides.
-func (h EdgeHalo) FillEdgesKind(k Kind, b *flux.State) {
-	if h.Left {
-		if h.Wall.Left {
-			flux.WallMirrorColsLeft(b, fluxKind(k))
-		} else {
-			for m := range b {
-				b[m].ExtrapolateLeft()
-			}
-		}
-	}
-	if h.Right {
-		if h.Wall.Right {
-			flux.WallMirrorColsRight(b, fluxKind(k))
-		} else {
-			for m := range b {
-				b[m].ExtrapolateRight()
-			}
-		}
-	}
-}
-
-// FillR implements Halo: with no radial neighbours, the exchange
-// degenerates to the physical treatment.
-func (h EdgeHalo) FillR(k Kind, b *flux.State) { h.FillREdgesKind(k, b) }
-
-// StartR implements Halo; there is nothing to send.
-func (h EdgeHalo) StartR(_ Kind, _ *flux.State) {}
-
-// FinishR implements Halo by applying the physical radial treatment.
-func (h EdgeHalo) FinishR(k Kind, b *flux.State) { h.FillREdgesKind(k, b) }
-
-// ReceiveR implements Halo; with no radial neighbours there is nothing
-// to receive.
-func (h EdgeHalo) ReceiveR(_ Kind, _ *flux.State) {}
-
-// FillREdges implements Halo.
-func (h EdgeHalo) FillREdges(k Kind, b *flux.State) { h.FillREdgesKind(k, b) }
-
-// FillREdgesKind fills the radial ghost rows of the owned physical
-// sides. On jet sides the axis parity pattern (component IMr odd, the
-// rest even) and the cubic top extrapolation are shared by the
-// primitive and radial-flux bundles, so one Kind-independent treatment
-// serves both (cf. flux.AxisMirrorPrims and flux.MirrorFluxR, which are
-// the same map); wall sides distinguish the bundles.
-func (h EdgeHalo) FillREdgesKind(k Kind, b *flux.State) {
-	if h.Bottom {
-		if h.Wall.Bottom {
-			flux.WallMirrorRowsBottom(b, fluxKind(k))
-		} else {
-			flux.AxisMirrorPrims(b)
-		}
-	}
-	if h.Top {
-		if h.Wall.Top {
-			flux.WallMirrorRowsTop(b, h.Wall.ULid, fluxKind(k))
-		} else {
-			flux.TopExtrapolatePrims(b)
-		}
-	}
-}
 
 // Serial is the single-processor reference solver: one slab spanning the
 // whole grid, the configuration the paper measures in Figure 2.
@@ -139,12 +32,10 @@ func NewSerialProblem(cfg jet.Config, prob *Problem, g *grid.Grid) (*Serial, err
 }
 
 // NewSerialProblemCFL builds the serial solver for a scenario problem
-// with an explicit CFL number.
+// with an explicit CFL number. The slab spans the domain: every side is
+// physical, so it has no halo.
 func NewSerialProblemCFL(cfg jet.Config, prob *Problem, g *grid.Grid, cfl float64) (*Serial, error) {
-	gm := cfg.Gas()
-	h := FullDomain()
-	h.Wall = prob.Walls()
-	s, err := NewSlabProblem(cfg, prob, g, gm, 0, g.Nx, 0, g.Nr, h, Fresh)
+	s, err := NewSlabProblem(cfg, prob, g, cfg.Gas(), 0, g.Nx, 0, g.Nr, nil, Fresh)
 	if err != nil {
 		return nil, err
 	}

@@ -27,11 +27,10 @@ import (
 
 // Kind tags the purpose of a halo fill so the message layer can group
 // and account for each of the paper's exchanges. A Kind names what a
-// fill carries; the direction comes from the method it is passed to
-// (Fill exchanges axial ghost columns, FillR radial ghost rows), so the
-// 2-D decomposition reuses the same tags on its row exchanges — KFlux
-// on a FillR call carries radial-flux rows, the sweep-direction flux
-// exchange of the radial operator.
+// fill carries; the direction travels separately as a Dir, so the 2-D
+// decomposition reuses the same tags on its row exchanges — KFlux in
+// the Radial direction carries radial-flux rows, the sweep-direction
+// flux exchange of the radial operator.
 type Kind int
 
 const (
@@ -62,57 +61,51 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Halo supplies ghost values for a slab in both grid directions:
-// neighbour exchange on interior sides and the physical boundary
-// treatment on domain-edge sides (cubic extrapolation axially, axis
-// mirror / far-field extrapolation radially). Slabs of the axial-only
-// decomposition have physical radial sides everywhere, so their FillR
-// degenerates to the serial mirror/extrapolation; 2-D slabs exchange
-// ghost rows with their down/up neighbours instead.
+// Flux reports whether k tags a sweep-direction flux bundle: wall
+// ghosts of a flux bundle take the flux parity map rather than the
+// primitive one, and Version 7 de-bursts exactly these exchanges.
+func (k Kind) Flux() bool { return k == KFlux || k == KPredFlux }
+
+// Dir is a ghost-fill direction: Axial fills the two ghost columns on
+// the left/right sides, Radial the two ghost rows on the bottom/top
+// sides.
+type Dir int
+
+const (
+	Axial Dir = iota
+	Radial
+)
+
+// Halo trades a slab's interior ghosts with its neighbours. It never
+// touches a physical side — the slab fills those itself (see edges) —
+// so one pair of halves serves both directions, and a slab with no
+// interior sides (the serial solver) has no halo at all.
 type Halo interface {
-	// Fill exchanges the two ghost columns on interior sides and
-	// extrapolates on domain-edge sides.
-	Fill(k Kind, b *flux.State)
-	// FillEdges performs only the domain-edge extrapolation, leaving
-	// interior ghost columns untouched (the Lagged policy's radial-sweep
-	// fills, and every fill of a Wide(k) policy's exchange-free steps).
-	FillEdges(k Kind, b *flux.State)
-	// FillR fills the two ghost rows on each radial side: neighbour
-	// exchange on interior sides, axis parity mirror at the bottom edge
-	// and cubic far-field extrapolation at the top edge. The parity and
-	// extrapolation treatment is shared by the primitive and radial-flux
-	// bundles (component IMr odd, the rest even).
-	FillR(k Kind, b *flux.State)
-	// FillREdges performs only the physical radial treatment; interior
-	// ghost rows keep their previous — lagged or decaying — contents.
-	FillREdges(k Kind, b *flux.State)
+	// Start sends the slab's two boundary strips of b next to each
+	// interior side in direction d (columns for Axial, rows for Radial)
+	// without waiting for the incoming ones; Finish receives those into
+	// the interior-side ghosts. Start followed by Finish is one
+	// exchange; the paper's Version 6 computes the interior in between.
+	Start(d Dir, k Kind, b *flux.State)
+	Finish(d Dir, k Kind, b *flux.State)
+	// Skip records an exchange that an exchange-free step of a Wide(k)
+	// policy leaves out: the interior ghosts keep their decaying shell
+	// data, and the halo books the startups saved.
+	Skip(d Dir, k Kind)
 	// Refresh re-exchanges the redundant shell of a Wide(k) policy: on
 	// each interior side the neighbour's freshly-owned copy of the
 	// shell's ExtL/ExtR columns (and ExtB/ExtT rows) replaces the
-	// decayed local one, resetting the staleness clock. A no-op for
-	// halos without a redundant shell (serial edges, depth-1 policies).
+	// decayed local one, resetting the staleness clock.
 	Refresh(b *flux.State)
-	// Start initiates the sends of an exchange without waiting for the
-	// incoming halo; Finish completes it. Fill is equivalent to Start
-	// followed by Finish. Used by the paper's Version 6 overlap of
-	// communication and computation.
-	Start(k Kind, b *flux.State)
-	Finish(k Kind, b *flux.State)
-	// StartR and FinishR split FillR the same way for the radial (row)
-	// exchanges of the 2-D decomposition; FinishR applies the physical
-	// treatment on domain-edge sides. On a full-height slab both sides
-	// are physical, so StartR sends nothing and FinishR degenerates to
-	// FillREdges.
-	StartR(k Kind, b *flux.State)
-	FinishR(k Kind, b *flux.State)
-	// ReceiveR completes only the interior-side receives of StartR,
-	// skipping the physical edge treatment. The overlapped operators
-	// use it: they fill physical radial ghosts eagerly (so those rows
-	// can join the interior core), and the owned rows the treatment
-	// reads have not changed since, so re-applying it in the finish
-	// would be pure duplicated work.
-	ReceiveR(k Kind, b *flux.State)
 }
+
+// noHalo is the halo of a slab without interior sides.
+type noHalo struct{}
+
+func (noHalo) Start(Dir, Kind, *flux.State)  {}
+func (noHalo) Finish(Dir, Kind, *flux.State) {}
+func (noHalo) Skip(Dir, Kind)                {}
+func (noHalo) Refresh(*flux.State)           {}
 
 // HaloPolicy selects the halo treatment (see DESIGN.md §5): the
 // Lagged/Fresh pair of the paper's message-budget study, or the
@@ -205,11 +198,14 @@ type Slab struct {
 	// wall flags below cache Prob.Wall masked to the physical sides
 	// this slab owns; they gate the wall branches of the operators so
 	// the jet path is untouched.
-	Prob      *Problem
-	leftWall  bool
-	rightWall bool
-	topWall   bool
+	Prob       *Problem
+	leftWall   bool
+	rightWall  bool
+	bottomWall bool
+	topWall    bool
 
+	// Halo trades the interior ghosts; the slab fills the ghosts of its
+	// physical sides itself (see edges).
 	Halo   Halo
 	Policy HaloPolicy
 	// Overlap enables the paper's Version 6 in both sweeps: interior
@@ -274,30 +270,89 @@ type Slab struct {
 
 	// exch records whether the current composite step exchanges with
 	// interior neighbours (true on every step under Lagged/Fresh; every
-	// Depth()-th step under Wide). Set by Advance, consumed by the
-	// fill/fillR dispatch below.
+	// Depth()-th step under Wide). Set by Advance, consumed by fill.
 	exch bool
 }
 
-// fill dispatches a stage's axial ghost-column fill: a real exchange on
-// exchange steps, physical-edge treatment only on the exchange-free
-// steps of a Wide policy (the interior ghosts then hold decaying shell
-// data, which the redundant shell keeps away from the core).
-func (s *Slab) fill(k Kind, b *flux.State) {
-	if s.exch {
-		s.Halo.Fill(k, b)
+// fill fills one stage's ghosts of b in direction d: an exchange on
+// exchange steps, a skip on the exchange-free steps of a Wide policy
+// (the interior ghosts then hold decaying shell data, which the
+// redundant shell keeps away from the core), and the physical sides
+// either way.
+func (s *Slab) fill(d Dir, k Kind, b *flux.State) {
+	if !s.exch {
+		s.Halo.Skip(d, k)
+		s.edges(d, k, b)
 		return
 	}
-	s.Halo.FillEdges(k, b)
+	s.startFill(d, k, b)
+	s.Halo.Finish(d, k, b)
 }
 
-// fillR is fill for the radial (ghost-row) direction.
-func (s *Slab) fillR(k Kind, b *flux.State) {
-	if s.exch {
-		s.Halo.FillR(k, b)
+// crossFill fills the ghosts a sweep's viscous cross-derivatives read in
+// the other direction d: as fill, except under Lagged, where the
+// interior ghosts keep the newest already-exchanged (lagged) contents
+// and only the physical sides are recomputed.
+func (s *Slab) crossFill(d Dir, k Kind, b *flux.State) {
+	if s.Policy == Lagged {
+		s.edges(d, k, b)
 		return
 	}
-	s.Halo.FillREdges(k, b)
+	s.fill(d, k, b)
+}
+
+// startFill begins a fill: the interior sends go out, then the physical
+// sides — local work, reading owned points only — are filled while the
+// messages travel; Halo.Finish completes the fill. The Version-6
+// operators run interior computation before that Finish too.
+func (s *Slab) startFill(d Dir, k Kind, b *flux.State) {
+	s.Halo.Start(d, k, b)
+	s.edges(d, k, b)
+}
+
+// edges applies the physical boundary treatment to the ghosts of the
+// sides the slab owns in direction d. Axially: cubic extrapolation (the
+// paper's artificial points). Radially: the axis parity mirror below
+// and cubic far-field extrapolation above — one map for the primitive
+// and radial-flux bundles alike (component IMr odd, the rest even; cf.
+// flux.AxisMirrorPrims and flux.MirrorFluxR). Wall sides take the
+// solid-wall mirror instead, which does tell the bundles apart.
+func (s *Slab) edges(d Dir, k Kind, b *flux.State) {
+	if d == Axial {
+		if s.Left {
+			if s.leftWall {
+				flux.WallMirrorColsLeft(b, k.Flux())
+			} else {
+				for m := range b {
+					b[m].ExtrapolateLeft()
+				}
+			}
+		}
+		if s.Right {
+			if s.rightWall {
+				flux.WallMirrorColsRight(b, k.Flux())
+			} else {
+				for m := range b {
+					b[m].ExtrapolateRight()
+				}
+			}
+		}
+		return
+	}
+	if s.Bottom {
+		if s.bottomWall {
+			flux.WallMirrorRowsBottom(b, k.Flux())
+		} else {
+			flux.AxisMirrorPrims(b)
+		}
+	}
+	if s.Top {
+		if s.topWall {
+			flux.WallMirrorRowsTop(b, s.Prob.Wall.ULid, k.Flux())
+		} else {
+			flux.TopExtrapolatePrims(b)
+		}
+	}
 }
 
 // stageCtx parameterizes the prebuilt loop bodies of a Slab. q/w/f/src
@@ -385,16 +440,15 @@ func NewSlab(cfg jet.Config, g *grid.Grid, gm gas.Model, i0, nxloc int, halo Hal
 }
 
 // NewSlabRect builds a slab owning the sub-rectangle of global columns
-// [i0, i0+nxloc) by global rows [j0, j0+nrloc) of g. Radial sides that
-// do not coincide with the physical boundary are interior: their ghost
-// rows must be supplied by the halo's FillR exchange.
+// [i0, i0+nxloc) by global rows [j0, j0+nrloc) of g. Sides that do not
+// coincide with the physical boundary are interior: their ghosts are
+// traded by the halo, which may be nil only when there are none.
 func NewSlabRect(cfg jet.Config, g *grid.Grid, gm gas.Model, i0, nxloc, j0, nrloc int, halo Halo, policy HaloPolicy) (*Slab, error) {
 	return NewSlabProblem(cfg, nil, g, gm, i0, nxloc, j0, nrloc, halo, policy)
 }
 
-// NewSlabProblem is NewSlabRect for an explicit scenario problem. The
-// halo's physical-edge treatment must agree with prob.Walls() (see
-// EdgeHalo.Wall); nil prob is the built-in jet.
+// NewSlabProblem is NewSlabRect for an explicit scenario problem; nil
+// prob is the built-in jet.
 func NewSlabProblem(cfg jet.Config, prob *Problem, g *grid.Grid, gm gas.Model, i0, nxloc, j0, nrloc int, halo Halo, policy HaloPolicy) (*Slab, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -429,10 +483,14 @@ func NewSlabProblem(cfg jet.Config, prob *Problem, g *grid.Grid, gm gas.Model, i
 	for j, r := range s.R {
 		s.RInv[j] = 1 / r
 	}
+	if halo == nil {
+		s.Halo = noHalo{}
+	}
 	wall := prob.Walls()
 	s.Prob = prob
 	s.leftWall = s.Left && wall.Left
 	s.rightWall = s.Right && wall.Right
+	s.bottomWall = s.Bottom && wall.Bottom
 	s.topWall = s.Top && wall.Top
 	switch {
 	case wall.Left:
@@ -562,15 +620,11 @@ func (s *Slab) opX(v scheme.Variant) {
 		s.pfor(0, n, s.fnPrims)
 	}
 	s.wReady = false
-	s.fill(KPrims, s.W)
-	if s.Policy != Lagged {
-		s.fillR(KPrims, s.W)
-	} else {
-		s.Halo.FillREdges(KPrims, s.W)
-	}
+	s.fill(Axial, KPrims, s.W)
+	s.crossFill(Radial, KPrims, s.W)
 	c.f = s.F
 	s.pfor(0, n, s.fnStressFluxX)
-	s.fill(KFlux, s.F)
+	s.fill(Axial, KFlux, s.F)
 	// The fused predictor also recovers the predicted primitives (the
 	// first pass of stage B); the boundary columns are recomputed after
 	// their conditions overwrite them.
@@ -592,16 +646,12 @@ func (s *Slab) opX(v scheme.Variant) {
 	// predicted stress tensor; Euler needs no stresses, which is why the
 	// paper's Euler budget is three exchanges per step, not four.
 	if visc {
-		s.fill(KPredPrims, s.WP)
-		if s.Policy != Lagged {
-			s.fillR(KPredPrims, s.WP)
-		} else {
-			s.Halo.FillREdges(KPredPrims, s.WP)
-		}
+		s.fill(Axial, KPredPrims, s.WP)
+		s.crossFill(Radial, KPredPrims, s.WP)
 	}
 	c.q, c.w, c.f = s.QP, s.WP, s.FP
 	s.pfor(0, n, s.fnStressFluxX)
-	s.fill(KPredFlux, s.FP)
+	s.fill(Axial, KPredFlux, s.FP)
 	// The corrector also recovers the primitives of QN into W, so the
 	// next operator starts with its stage-A pass already done; the
 	// boundary columns are recomputed after their conditions apply.
@@ -653,15 +703,11 @@ func (s *Slab) opR(v scheme.Variant) {
 		s.pfor(0, n, s.fnPrims)
 	}
 	s.wReady = false
-	if s.Policy != Lagged {
-		s.fill(KPrimsR, s.W)
-	} else {
-		s.Halo.FillEdges(KPrimsR, s.W)
-	}
-	s.fillR(KPrimsR, s.W)
+	s.crossFill(Axial, KPrimsR, s.W)
+	s.fill(Radial, KPrimsR, s.W)
 	c.f, c.src = s.F, s.Src
 	s.pfor(0, n, s.fnStressFluxR)
-	s.fillR(KFlux, s.F)
+	s.fill(Radial, KFlux, s.F)
 	// Fused predictor + predicted-primitives sweep; the boundary columns
 	// are recomputed after their conditions overwrite them. Wall columns
 	// are pinned in the radial sweep too — the viscous cross-derivatives
@@ -681,15 +727,11 @@ func (s *Slab) opR(v scheme.Variant) {
 	}
 
 	// Stage B: corrector.
-	if s.Policy != Lagged {
-		s.fill(KPredPrimsR, s.WP)
-	} else {
-		s.Halo.FillEdges(KPredPrimsR, s.WP)
-	}
-	s.fillR(KPredPrimsR, s.WP)
+	s.crossFill(Axial, KPredPrimsR, s.WP)
+	s.fill(Radial, KPredPrimsR, s.WP)
 	c.q, c.w, c.f, c.src = s.QP, s.WP, s.FP, s.SrcP
 	s.pfor(0, n, s.fnStressFluxR)
-	s.fillR(KPredFlux, s.FP)
+	s.fill(Radial, KPredFlux, s.FP)
 	// Fused corrector + primitives recovery; the far-field row and the
 	// inflow column are recomputed after their conditions apply.
 	s.pfor(0, n, s.fnCorrectRRowsPrims)
