@@ -35,7 +35,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/shm"
-	"repro/internal/sim"
 	"repro/internal/solver"
 	"repro/internal/stats"
 	"repro/internal/study"
@@ -223,12 +222,6 @@ func benchBackend(b *testing.B, name string, opts backend.Options) backend.Resul
 // workload at a representative parallel width.
 func BenchmarkBackends(b *testing.B) {
 	for _, name := range backend.Names() {
-		if name == "parareal" {
-			// The time axis needs steps >= TimeSlices, which b.N=1
-			// cannot honor; BenchmarkAblationParareal measures the
-			// coordinator with a fixed per-iteration step count.
-			continue
-		}
 		opts := backend.Options{Procs: 4, Workers: 2, Policy: solver.Lagged}
 		b.Run(name, func(b *testing.B) { benchBackend(b, name, opts) })
 	}
@@ -469,7 +462,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 
 func BenchmarkEventEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := sim.New()
+		e := machine.NewEngine()
 		n := 0
 		var tick func()
 		tick = func() {
@@ -786,70 +779,6 @@ func BenchmarkAblationHaloDepth(b *testing.B) {
 			b.ResetTimer()
 			res := r.RunControlled(b.N, solver.Control{ReduceEvery: 1})
 			b.ReportMetric(float64(res.TotalDir().Reduce.Startups)/float64(res.Steps), "reduce-startups/step")
-		})
-	}
-}
-
-// BenchmarkAblationParareal is the parallel-in-time ablation: the same
-// workload through the parareal coordinator — a serial fine propagator
-// and the 2-D rank grid composed under it — reporting the correction
-// iterations the adaptive defect control actually paid for alongside
-// the effective throughput (parareal repeats fine work per iteration,
-// so the Mpoints/s row tracks the redundancy the iteration count
-// implies). The mp2d-fine case doubles as the race-instrumented CI
-// smoke of the slice handoff + spatial halo interleaving. The cosim
-// cases price the K=4 schedule against the pure-spatial run of the
-// same 8-processor pool on the shared Ethernet, where the paper's
-// spatial scaling flattens — the trade the PARAREAL claim quantifies.
-func BenchmarkAblationParareal(b *testing.B) {
-	// Each iteration marches a fixed 8 steps so the K=4 slice schedule
-	// is always fillable, even at -benchtime=1x.
-	const stepsPerIter = 8
-	for _, c := range []struct {
-		name string
-		opts backend.Options
-	}{
-		{"serial-fine", backend.Options{TimeSlices: 4, CoarseFactor: 2, DefectTol: 1e-2}},
-		{"mp2d-fine", backend.Options{TimeSlices: 4, CoarseFactor: 2, DefectTol: 1e-2, Fine: "mp2d", Procs: 2, Policy: solver.Fresh}},
-	} {
-		b.Run(c.name+"/K4", func(b *testing.B) {
-			be, err := backend.Get("parareal")
-			if err != nil {
-				b.Fatal(err)
-			}
-			iters := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := be.Run(jet.Paper(), benchGrid(), c.opts, stepsPerIter)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Diag.HasNaN {
-					b.Fatal("diverged")
-				}
-				iters = res.Iterations
-			}
-			b.ReportMetric(float64(iters), "iterations")
-			b.ReportMetric(float64(128*64*stepsPerIter*b.N)/b.Elapsed().Seconds()/1e6, "Mpoints/s")
-		})
-	}
-	ch := trace.PaperNS()
-	for _, c := range []struct {
-		name   string
-		slices int
-	}{{"cosim-ethernet/spatial", 0}, {"cosim-ethernet/K4", 4}} {
-		b.Run(c.name, func(b *testing.B) {
-			chk := ch
-			chk.TimeSlices = c.slices
-			var sec float64
-			for i := 0; i < b.N; i++ {
-				o, err := machine.LACE560Ethernet.Simulate(chk, 8, 5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sec = o.Seconds
-			}
-			b.ReportMetric(sec, "sim-seconds@P8")
 		})
 	}
 }

@@ -23,10 +23,6 @@
 //	jetsim -scenario cavity -nx 49 -nr 48 -steps 2000  # lid-driven cavity
 //	jetsim -scenario cavity -steady-tol 1e-6 -steps 5000  # stop on velocity steadiness
 //	jetsim -scenario channel -backend mp2d -procs 4    # wall-bounded pipe flow
-//	jetsim -time-slices 4 -steps 200                   # parareal over 4 time slices
-//	jetsim -backend mp:v5 -procs 2 -time-slices 4      # 4 slices x 2 ranks each
-//	jetsim -time-slices 4 -parareal-iters 4            # exact schedule (bitwise = fine run)
-//	jetsim -time-slices 4 -coarse-factor 1 -defect-tol 1e-8  # exact coarse sweep
 //	jetsim -contour -pgm out/jet.pgm
 package main
 
@@ -72,11 +68,6 @@ func main() {
 	flag.IntVar(&cfg.HaloDepth, "halo-depth", 0, "communication-avoiding halo depth k: exchange every k-th step over a redundant ghost shell, bitwise-identical to serial (distributed backends; 0 = per-stage policy, 1 = fresh)")
 	flag.IntVar(&cfg.ReduceGroup, "reduce-group", 0, "hierarchical allreduce node size: intra-node combine, leaders-only cross-node plan (distributed backends; 0 or 1 = flat)")
 	flag.Float64Var(&cfg.SteadyTol, "steady-tol", 0, "stop tolerance on velocity steadiness max(|du|,|dv|)/dt — the closed-flow criterion (e.g. cavity); mutually exclusive with -tol (0 = march -steps fixed)")
-	flag.IntVar(&cfg.TimeSlices, "time-slices", 0, "parareal time slices K: [0,-steps] splits into K slices propagated in parallel over time, -backend becoming the fine propagator of each (0 or 1 = pure spatial run)")
-	flag.IntVar(&cfg.PararealIters, "parareal-iters", 0, "parareal correction iterations: 0 = adaptive on -defect-tol capped at K, K = exact schedule, bitwise equal to the fine run end to end")
-	flag.IntVar(&cfg.CoarseFactor, "coarse-factor", 0, "parareal coarse-propagator grid/time-step coarsening (0 = default 2; 1 = the fine operator itself, every sweep exact)")
-	flag.Float64Var(&cfg.DefectTol, "defect-tol", 0, "adaptive parareal stopping tolerance on the slice-boundary L2 defect between successive iterates (0 = default 1e-6)")
-	flag.StringVar(&cfg.FineBackend, "fine", "", "parareal fine-propagator backend (empty = the spatial -backend, or serial)")
 	contour := flag.Bool("contour", false, "print an ASCII contour of axial momentum")
 	pgm := flag.String("pgm", "", "write axial momentum as a PGM image to this path")
 	flag.Parse()
@@ -111,18 +102,7 @@ func main() {
 	d := res.Diag
 	fmt.Printf("mass=%.6f energy=%.6f max|v|=%.4g minRho=%.4g minP=%.4g\n",
 		d.Mass, d.Energy, d.MaxV, d.MinRho, d.MinP)
-	if res.TimeSlices > 0 {
-		// A parareal run: Residuals carry (iteration, defect) pairs and
-		// Converged reports an adaptive defect-tolerance stop.
-		state := "exact schedule"
-		if res.Converged {
-			state = "converged on defect tolerance"
-		} else if res.Iterations < res.TimeSlices {
-			state = "iteration cap"
-		}
-		fmt.Printf("parareal: %d time slices, %d iterations, final defect %.4g (%s)\n",
-			res.TimeSlices, res.Iterations, res.Defect, state)
-	} else if n := len(res.Residuals); n > 0 {
+	if n := len(res.Residuals); n > 0 {
 		last := res.Residuals[n-1]
 		crit, lim := "residual", cfg.StopTol
 		if cfg.SteadyTol > 0 {

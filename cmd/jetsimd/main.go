@@ -86,9 +86,11 @@ func main() {
 }
 
 // readJobs decodes the stdin job stream: one JSON array, or JSON
-// objects back to back (NDJSON included).
+// objects back to back (NDJSON included). A field the job protocol does
+// not define fails the batch, naming the job.
 func readJobs(r io.Reader) ([]serve.Job, error) {
 	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	tok, err := dec.Token()
 	if errors.Is(err, io.EOF) {
 		return nil, nil
@@ -115,6 +117,7 @@ func readJobs(r io.Reader) ([]serve.Job, error) {
 		return nil, err
 	}
 	dec = json.NewDecoder(strings.NewReader(string(rest)))
+	dec.DisallowUnknownFields()
 	for {
 		var j serve.Job
 		if err := dec.Decode(&j); errors.Is(err, io.EOF) {

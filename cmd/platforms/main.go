@@ -19,8 +19,6 @@
 //	platforms -backend mp2d -tol 1e-4 -reduce-every 10  # converged host run
 //	platforms -halo-depth 2                 # price the communication-avoiding cadence
 //	platforms -reduce-every 10 -reduce-group 4  # price the hierarchical collective
-//	platforms -time-slices 4                # price the parareal parallel-in-time schedule
-//	platforms -time-slices 4 -parareal-iters 2 -coarse-factor 4  # converged-early pricing
 package main
 
 import (
@@ -69,9 +67,6 @@ func main() {
 	flag.BoolVar(&host.FreshHalos, "fresh", false, "exact per-stage halo policy for the measured host run (bitwise serial equivalence); contradicts -halo-depth k > 1")
 	flag.IntVar(&host.HaloDepth, "halo-depth", 0, "communication-avoiding halo depth k: the co-simulated ranks exchange every k-th step over a redundant shell, and the measured host run uses the Wide(k) policy (0 = per-stage exchange)")
 	flag.IntVar(&host.ReduceGroup, "reduce-group", 0, "hierarchical allreduce node size: leaders-only cross-node plan on the co-simulated platforms and the measured host run (0 or 1 = flat)")
-	flag.IntVar(&host.TimeSlices, "time-slices", 0, "parareal time slices K: price the parallel-in-time schedule on the co-simulated platforms (procs splitting into K slice groups) and run it on the measured host (0 or 1 = pure spatial)")
-	flag.IntVar(&host.PararealIters, "parareal-iters", 0, "parareal correction iterations the schedule pays for (0 = the worst-case K)")
-	flag.IntVar(&host.CoarseFactor, "coarse-factor", 0, "parareal coarse-propagator coarsening (0 = default 2)")
 	flag.IntVar(&host.Nx, "nx", 125, "grid for the measured host run (with -backend)")
 	flag.IntVar(&host.Nr, "nr", 50, "grid for the measured host run (with -backend)")
 	flag.IntVar(&host.Steps, "steps", 100, "composite steps for the measured host run (with -backend)")
@@ -96,13 +91,6 @@ func main() {
 	// hierarchical reduce thins the collective to node leaders.
 	ch.HaloDepth = host.HaloDepth
 	ch.ReduceGroup = host.ReduceGroup
-	// The parareal knobs reroute the co-simulation to the
-	// parallel-in-time schedule (machine.SimulateParareal) and the
-	// measured host run to the parareal backend with -backend as the
-	// fine propagator.
-	ch.TimeSlices = host.TimeSlices
-	ch.PararealIters = host.PararealIters
-	ch.CoarseFactor = host.CoarseFactor
 	// The co-simulation needs a concrete strategy; the measured host run
 	// passes the raw flag through so 0 stays "backend default" (and a
 	// pinned backend name like mp:v6 is not contradicted).
@@ -134,10 +122,6 @@ func main() {
 			if np > p.MaxProcs {
 				continue
 			}
-			if ch.TimeSlices > 1 && (np < ch.TimeSlices || np%ch.TimeSlices != 0) {
-				// Parareal needs the pool to split evenly over the slices.
-				continue
-			}
 			o, err := p.Simulate(ch, np, simVersion)
 			if err != nil {
 				log.Fatal(err)
@@ -155,18 +139,12 @@ func main() {
 		if host.Scenario != "" {
 			s.Name = fmt.Sprintf("host %s %s (measured)", real, host.Scenario)
 		}
-		slices := host.TimeSlices
 		counts := []int{1, 2, 4, 8}
 		switch {
 		case real == "serial":
 			// A single-processor backend is always a P=1 data point,
-			// whatever -procs says about the simulated sweep — except
-			// under parareal, where the serial fine propagator still
-			// fans out into K one-rank slice groups.
+			// whatever -procs says about the simulated sweep.
 			counts = []int{1}
-			if slices > 1 {
-				counts = []int{slices}
-			}
 		case *procs > 0:
 			counts = []int{*procs}
 		}
@@ -184,15 +162,6 @@ func main() {
 		}
 		for _, np := range counts {
 			host.Procs = np
-			if slices > 1 {
-				// Match the co-simulation's accounting: np is the total
-				// pool, split evenly over the slices into fine-propagator
-				// groups of np/K ranks each.
-				if np < slices || np%slices != 0 {
-					continue
-				}
-				host.Procs = np / slices
-			}
 			run, err := core.NewRun(host)
 			if err != nil {
 				log.Fatal(err)

@@ -79,19 +79,10 @@ func main() {
 		// Px/Pr pin the mp2d rank grid to 2x2 so the radial exchange
 		// path is exercised (its surface-minimizing default for this
 		// wide domain is the axial-only 4x1); other backends ignore it.
-		cfg := core.Config{
+		rows = append(rows, row{name, core.Config{
 			Nx: nx, Nr: nr, Steps: steps,
 			Backend: name, Procs: procs, Px: 2, Pr: 2, FreshHalos: true,
-		}
-		if name == "parareal" {
-			// The time axis: four slices over the 2x2 mp2d fine
-			// propagator, the completed correction sweep keeping the
-			// row bitwise with the spatial backends.
-			cfg.TimeSlices = 4
-			cfg.PararealIters = 4
-			cfg.FineBackend = "mp2d"
-		}
-		rows = append(rows, row{name, cfg})
+		}})
 	}
 	rows = append(rows, row{"hybrid -version 6", core.Config{
 		Nx: nx, Nr: nr, Steps: steps,

@@ -24,10 +24,6 @@
 //	mp2d:v6  6 pinned   Px×Pr     —        overlap in both directions
 //	hybrid   5, 6, 7    Procs×1   Workers per rank (ranks × DOALL)
 //
-// The ninth name, parareal, is the parallel-in-time coordinator: it
-// runs any spatial name as the fine propagator of each time slice
-// through the Propagator surface.
-//
 // A name rejects every option it has no use for — a version it does
 // not implement or that contradicts its pin, a balance mode or cost
 // profile without a decomposition to apply it to, a Wide policy or
@@ -139,34 +135,6 @@ type Options struct {
 	// the L2 residual — the criterion closed wall-driven scenarios need
 	// (scenario.ConvergeSteadiness). Mutually exclusive with StopTol.
 	SteadyTol float64
-	// TimeSlices, when > 1, is the parallel-in-time width K of the
-	// parareal backend: the step range is partitioned into K time
-	// slices advanced concurrently by fine propagators and stitched by
-	// Parareal corrections. Spatial backends reject values above 1
-	// (core.Config.Canonical routes such configs here).
-	TimeSlices int
-	// PararealIters, when > 0, fixes the Parareal correction iteration
-	// count (TimeSlices iterations reproduce the fine trajectory
-	// bitwise). Zero iterates adaptively until the defect reaches
-	// DefectTol, capped at TimeSlices.
-	PararealIters int
-	// CoarseFactor is the coarsening ratio of the parareal coarse
-	// propagator: the coarse sweep runs on an (Nx/c)×(Nr/c) companion
-	// grid with restriction/interpolation between grids, taking time
-	// steps up to c× longer. 0 resolves to 2; 1 keeps the fine grid
-	// (the coarse propagator then equals the fine one — useful for
-	// pinning the machinery, pointless for speed).
-	CoarseFactor int
-	// DefectTol is the adaptive-mode convergence tolerance on the
-	// Parareal defect: the maximum over time slices of the L2 delta
-	// between successive slice initial states (plus the terminal-state
-	// delta). 0 resolves to DefaultDefectTol; ignored when
-	// PararealIters fixes the count.
-	DefectTol float64
-	// Fine names the registered spatial backend the parareal backend
-	// runs inside each time slice ("" = serial). Procs/Workers/Px/Pr/
-	// Version/Policy/Balance configure each slice's fine propagator.
-	Fine string
 }
 
 // Balance modes of Options.Balance.
@@ -187,9 +155,6 @@ const measuredProbeSteps = 1
 // global), so unlike versions and balance modes there is nothing to
 // reject per backend — only to validate.
 func resolveControl(name string, o Options) (solver.Control, error) {
-	if o.TimeSlices > 1 || o.PararealIters != 0 || o.CoarseFactor > 1 || o.DefectTol != 0 || o.Fine != "" {
-		return solver.Control{}, fmt.Errorf("backend: %s is a spatial backend; the parallel-in-time options (TimeSlices/PararealIters/CoarseFactor/DefectTol/Fine) require the parareal backend", name)
-	}
 	if o.StopTol < 0 {
 		return solver.Control{}, fmt.Errorf("backend: %s: negative stop tolerance %g", name, o.StopTol)
 	}
@@ -263,14 +228,6 @@ type Result struct {
 	// Px, Pr is the rank-grid shape of the names that take one (mp2d,
 	// mp2d:v6); 0 for the single-slab and axial names.
 	Px, Pr int
-	// TimeSlices and Iterations report a parareal run's composition:
-	// the time-slice count K and the correction iterations actually
-	// run. Defect is the final global Parareal defect (max over slices
-	// of the L2 delta between successive iterates); all zero for
-	// spatial backends.
-	TimeSlices int
-	Iterations int
-	Defect     float64
 	// Comm aggregates the message-layer counters (zero for a single slab).
 	Comm trace.Counters
 	// CommDir splits Comm by exchange class; Radial is nonzero only
@@ -298,29 +255,40 @@ func (r *Result) Momentum() [][]float64 {
 	return out
 }
 
-// Backend is one execution style of the solver. Run is one-shot: it
-// builds the solver configuration, advances the given number of
-// composite steps, releases any worker pools, and reports.
+// Backend is one execution style of the solver. Validate is a cheap
+// configuration check without building the solver (core.NewRun uses it
+// to fail early on, e.g., a decomposition with slabs below the stencil
+// width). Run is one-shot: it builds the solver configuration, advances
+// the given number of composite steps, releases any worker pools, and
+// reports. NewPropagator is the same build, handed out as a steppable
+// solver instead of marched once.
 type Backend interface {
 	Name() string
-	Run(cfg jet.Config, g *grid.Grid, opts Options, steps int) (Result, error)
-}
-
-// validator is an optional Backend extension: a cheap configuration
-// check without building the solver (used by core.NewRun to fail early
-// on, e.g., a decomposition with slabs below the stencil width).
-type validator interface {
 	Validate(cfg jet.Config, g *grid.Grid, opts Options) error
+	Run(cfg jet.Config, g *grid.Grid, opts Options, steps int) (Result, error)
+	NewPropagator(cfg jet.Config, g *grid.Grid, opts Options) (Propagator, error)
 }
 
-// Validate checks opts against b without running it. Backends that do
-// not implement the optional validator accept everything here and
-// report errors from Run instead.
+// Propagator is a built backend that advances on demand: the probe
+// surface for timing one backend's step loop apart from its setup and
+// gather.
+type Propagator interface {
+	// Advance runs n composite steps at the fixed dt, no monitoring.
+	Advance(n int)
+	// State gathers the current global conservative state into dst.
+	State(dst *flux.State)
+	// Close releases worker pools; the propagator is dead afterwards.
+	Close()
+}
+
+// Validate checks opts against b without running it.
 func Validate(b Backend, cfg jet.Config, g *grid.Grid, opts Options) error {
-	if v, ok := b.(validator); ok {
-		return v.Validate(cfg, g, opts)
-	}
-	return nil
+	return b.Validate(cfg, g, opts)
+}
+
+// NewPropagator builds b's solver as a Propagator.
+func NewPropagator(b Backend, cfg jet.Config, g *grid.Grid, opts Options) (Propagator, error) {
+	return b.NewPropagator(cfg, g, opts)
 }
 
 // backends maps backend names to implementations. Registration happens

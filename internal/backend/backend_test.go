@@ -37,20 +37,6 @@ func testRamp(n int) []float64 {
 // (explicit skewed profiles and the flops/measured balance modes):
 // load balancing must be numerics-neutral, whatever blocks it picks.
 func parityOptions(name string, g *grid.Grid) []Options {
-	if name == "parareal" {
-		// The time axis has its own width sweep: the coordinator is
-		// bitwise-identical to the serial trajectory whenever the
-		// correction sweep runs to completion (PararealIters =
-		// TimeSlices), so the registry parity test pins that contract
-		// over the default serial fine propagator, an uneven slice
-		// partition, and a distributed fine propagator. The adaptive
-		// (tolerance-stopped) paths live in parareal_test.go.
-		return []Options{
-			{TimeSlices: 2, PararealIters: 2, CoarseFactor: 2},
-			{TimeSlices: 4, PararealIters: 4, CoarseFactor: 2},
-			{TimeSlices: 2, PararealIters: 2, CoarseFactor: 2, Fine: "mp:v5", Procs: 2, Policy: solver.Fresh},
-		}
-	}
 	var opts []Options
 	for p := 1; p <= 4; p++ {
 		o := Options{Procs: p, Policy: solver.Fresh}
@@ -111,13 +97,6 @@ func optionsLabel(o Options) string {
 	case o.ColWeights != nil || o.RowWeights != nil:
 		v += "-weighted"
 	}
-	if o.TimeSlices > 0 {
-		fine := o.Fine
-		if fine == "" {
-			fine = "serial"
-		}
-		return fmt.Sprintf("k%d-%s%s", o.TimeSlices, fine, v)
-	}
 	if o.Px > 0 || o.Pr > 0 {
 		return fmt.Sprintf("px%dxpr%d%s", o.Px, o.Pr, v)
 	}
@@ -135,12 +114,6 @@ func optionsLabel(o Options) string {
 // interior (mp2d and its overlapped variant), and the overlapped axial
 // strategy over a worker pool (hybrid V6).
 func scenarioParityOptions(name string) []Options {
-	if name == "parareal" {
-		// One completed-sweep point per wall-bounded scenario: the jet
-		// sweep above already walks the slice-count and fine-backend
-		// corners.
-		return []Options{{TimeSlices: 2, PararealIters: 2, CoarseFactor: 2}}
-	}
 	var opts []Options
 	for _, p := range []int{1, 3} {
 		o := Options{Procs: p, Policy: solver.Fresh}
@@ -293,7 +266,7 @@ func TestHybridComposesBothStyles(t *testing.T) {
 // TestRegistry covers lookup, the sorted name list, and the error text
 // that doubles as CLI help.
 func TestRegistry(t *testing.T) {
-	want := []string{"hybrid", "mp2d", "mp2d:v6", "mp:v5", "mp:v6", "mp:v7", "parareal", "serial", "shm"}
+	want := []string{"hybrid", "mp2d", "mp2d:v6", "mp:v5", "mp:v6", "mp:v7", "serial", "shm"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("registry: %v, want %v", got, want)

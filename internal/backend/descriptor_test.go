@@ -37,24 +37,22 @@ func TestAcceptRejectGrid(t *testing.T) {
 		{"wide2", Options{Policy: solver.Wide(2)}},
 		{"group2", Options{ReduceGroup: 2}},
 		{"group4", Options{ReduceGroup: 4}},
-		{"slices2", Options{TimeSlices: 2}},
 		{"1x2", Options{Px: 1, Pr: 2}},
 		{"1x2+wide2", Options{Px: 1, Pr: 2, Policy: solver.Wide(2)}},
 		{"1x2+row-weights", Options{Px: 1, Pr: 2, RowWeights: testRamp(g.Nr)}},
 		{"2x2", Options{Px: 2, Pr: 2}},
 		{"stop-tol", Options{StopTol: 1e-3}},
 	}
-	//                    b v v v v u f m b c r f w g g s 1 1 1 2 s
+	//                    b v v v v u f m b c r f w g g 1 1 1 2 s
 	want := map[string]string{
-		"hybrid":   "A A A A R A A A R A R R A A R R A A R A A",
-		"mp2d":     "A A A R R A A A R A A R A A R R A R A R A",
-		"mp2d:v6":  "A R A R R A A A R A A R A A R R A R A R A",
-		"mp:v5":    "A A R R R A A A R A R R A A R R A A R A A",
-		"mp:v6":    "A R A R R A A A R A R R A A R R A A R A A",
-		"mp:v7":    "A R R A R A A A R A R R A A R R A A R A A",
-		"parareal": "R R R R R R R R R R R R R R R A R R R R R",
-		"serial":   "A R R R R A R R R R R R R R R R A R R A A",
-		"shm":      "A R R R R A R R R R R R R R R R A R R A A",
+		"hybrid":  "A A A A R A A A R A R R A A R A A R A A",
+		"mp2d":    "A A A R R A A A R A A R A A R A R A R A",
+		"mp2d:v6": "A R A R R A A A R A A R A A R A R A R A",
+		"mp:v5":   "A A R R R A A A R A R R A A R A A R A A",
+		"mp:v6":   "A R A R R A A A R A R R A A R A A R A A",
+		"mp:v7":   "A R R A R A A A R A R R A A R A A R A A",
+		"serial":  "A R R R R A R R R R R R R R R A R R A A",
+		"shm":     "A R R R R A R R R R R R R R R A R R A A",
 	}
 	if len(want) != len(Names()) {
 		t.Fatalf("table covers %d names, registry has %v", len(want), Names())

@@ -253,15 +253,13 @@ func (b spatialBackend) runnerOptions(cfg jet.Config, g *grid.Grid, o Options, p
 }
 
 // engine is the one internal surface every spatial name runs on: a
-// controlled one-shot march plus the seed/advance/read-back restart
-// surface. *par.Runner is the rank-grid engine; slabEngine the
+// controlled one-shot march plus the advance/read-back surface of a
+// Propagator. *par.Runner is the rank-grid engine; slabEngine the
 // single-slab one.
 type engine interface {
 	RunControlled(n int, ctl solver.Control) *par.Result
-	SeedState(full *flux.State, step int)
-	AdvanceSteps(n int)
+	Advance(n int)
 	StoreState(full *flux.State)
-	Dt() float64
 }
 
 // slabEngine runs one slab spanning the domain — serial and shm. It is
@@ -287,19 +285,13 @@ func (e slabEngine) RunControlled(n int, ctl solver.Control) *par.Result {
 	}
 }
 
-func (e slabEngine) SeedState(full *flux.State, step int) {
-	e.sl.LoadState(full)
-	e.sl.SetClock(step, float64(step)*e.sl.Dt, e.sl.Dt)
-}
-
-func (e slabEngine) AdvanceSteps(n int) {
+func (e slabEngine) Advance(n int) {
 	for i := 0; i < n; i++ {
 		e.sl.Advance()
 	}
 }
 
 func (e slabEngine) StoreState(full *flux.State) { e.sl.StoreState(full) }
-func (e slabEngine) Dt() float64                 { return e.sl.Dt }
 
 // instance is a built engine plus the worker pools it owns. It is the
 // Propagator of every spatial name, and what Run marches once.
@@ -309,9 +301,7 @@ type instance struct {
 	workers int // per-rank pool size (poolPerRank), 0 otherwise
 }
 
-func (in *instance) Seed(state *flux.State, step int) { in.SeedState(state, step) }
-func (in *instance) Advance(n int)                    { in.AdvanceSteps(n) }
-func (in *instance) State(dst *flux.State)            { in.StoreState(dst) }
+func (in *instance) State(dst *flux.State) { in.StoreState(dst) }
 func (in *instance) Close() {
 	for _, p := range in.pools {
 		p.Close()
@@ -397,8 +387,8 @@ func (b spatialBackend) Run(cfg jet.Config, g *grid.Grid, o Options, steps int) 
 	return res, nil
 }
 
-// NewPropagator implements propagatorProvider: the same build, handed
-// out as the restart surface instead of marched once.
+// NewPropagator is the same build, handed out to be advanced on demand
+// instead of marched once.
 func (b spatialBackend) NewPropagator(cfg jet.Config, g *grid.Grid, o Options) (Propagator, error) {
 	p, err := b.resolve(cfg, g, o)
 	if err != nil {

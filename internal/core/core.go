@@ -10,7 +10,7 @@
 //	res, err := run.Execute()
 //
 // Backends are selected by name through the registry ("serial", "shm",
-// "mp:v5", "mp:v6", "mp:v7", "mp2d", "mp2d:v6", "hybrid", "parareal").
+// "mp:v5", "mp:v6", "mp:v7", "mp2d", "mp2d:v6", "hybrid").
 // See examples/ for complete programs and DESIGN.md for the system
 // inventory.
 package core
@@ -51,7 +51,7 @@ type Config struct {
 	Steps int
 	// Backend names the execution backend in the internal/backend
 	// registry ("serial", "shm", "mp:v5", "mp:v6", "mp:v7", "mp2d",
-	// "mp2d:v6", "hybrid", "parareal"). Empty selects "serial".
+	// "mp2d:v6", "hybrid"). Empty selects "serial".
 	Backend string
 	// Procs: ranks of the distributed backends, or workers of shm.
 	Procs int
@@ -109,31 +109,6 @@ type Config struct {
 	// criterion of the cavity scenario, where the residual never
 	// vanishes. Mutually exclusive with StopTol.
 	SteadyTol float64
-	// TimeSlices, when > 1, selects the Parareal parallel-in-time run:
-	// [0, Steps] splits into TimeSlices slices, each propagated by the
-	// spatial backend named in Backend (which moves to FineBackend) or
-	// FineBackend, stitched by a serial coarse sweep and corrected
-	// iteratively. 0 or 1 means the pure spatial run, and the other
-	// parallel-in-time fields are inert.
-	TimeSlices int
-	// PararealIters fixes the Parareal correction-iteration count:
-	// 0 means adaptive (stop when the defect falls to DefectTol, capped
-	// at TimeSlices); TimeSlices is the exact schedule, bitwise equal
-	// to the fine propagator run end to end.
-	PararealIters int
-	// CoarseFactor coarsens the Parareal coarse propagator's grid and
-	// time step in both directions (0 means the backend default of 2;
-	// 1 reuses the fine operator itself, making every sweep exact).
-	CoarseFactor int
-	// DefectTol is the adaptive Parareal stopping tolerance on the
-	// slice-boundary L2 defect between successive iterates (0 means the
-	// backend default).
-	DefectTol float64
-	// FineBackend names the spatial backend Parareal runs as the fine
-	// propagator of each slice ("" means "serial"; any registry name
-	// except "parareal" itself). Spelling a spatial Backend together
-	// with TimeSlices > 1 is the same run: the name moves here.
-	FineBackend string
 	// Jet overrides the physical configuration (default jet.Paper()).
 	Jet *jet.Config
 }
@@ -180,20 +155,6 @@ func (c Config) jetConfig() jet.Config {
 	return jet.Paper()
 }
 
-// pinnedVersion parses the communication version a registry name
-// hard-wires ("mp:v5" → 5); ok is false for unsuffixed names.
-func pinnedVersion(name string) (int, bool) {
-	_, suffix, ok := strings.Cut(name, ":v")
-	if !ok {
-		return 0, false
-	}
-	v, err := strconv.Atoi(suffix)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
 // Canonical returns the normalized form of c: every alias spelling of
 // the same run maps onto one configuration. It is the only fold of a
 // run description — NewRun builds the run from it and the config-hash
@@ -213,13 +174,6 @@ func pinnedVersion(name string) (int, bool) {
 //   - policy aliasing: HaloDepth 1 is exactly FreshHalos, ReduceGroup 1
 //     is the flat plan, empty Balance is "uniform", and a tolerance
 //     (StopTol or SteadyTol) with no cadence monitors every step;
-//   - parareal aliasing: a spatial Backend with TimeSlices > 1 is the
-//     "parareal" backend with that name as FineBackend (empty fine is
-//     "serial"); TimeSlices <= 1 clears the inert parallel-in-time
-//     fields, so a spatial run spelled with them hashes identically to
-//     the plain spelling; the default Lagged policy folds to Fresh
-//     under parareal (the coordinator promotes it for restart
-//     transparency);
 //   - serial runs one slab whatever width was requested.
 //
 // The normalization is deliberately syntactic: equivalences it cannot
@@ -245,53 +199,8 @@ func (c Config) Canonical() (Config, error) {
 	phys := sc.Config(c.jetConfig())
 	c.Jet = &phys
 	c.Euler = !phys.Viscous
-	if c.Backend == "serial" && c.TimeSlices <= 1 {
-		// Under TimeSlices the serial name may only be the default
-		// resolution of an empty spelling; the fold below decides
-		// whether the fine propagator is really serial before any
-		// width clamp applies.
+	if c.Backend == "serial" {
 		c.Procs, c.Workers = 1, 0
-	}
-	if c.TimeSlices < 0 {
-		return Config{}, fmt.Errorf("core: time slices must be >= 2 for a parareal run, got %d", c.TimeSlices)
-	}
-	if c.Backend == "parareal" && c.TimeSlices <= 1 {
-		return Config{}, fmt.Errorf("core: the parareal backend needs TimeSlices >= 2, got %d", c.TimeSlices)
-	}
-	if c.TimeSlices > 1 {
-		if c.Backend != "parareal" {
-			// A spatial spelling with time slices is the parareal run
-			// using that backend as the fine propagator. An explicit
-			// FineBackend wins over the default serial resolution of an
-			// empty spelling, but contradicting a non-serial spatial
-			// name is an error, not a silent pick.
-			if c.FineBackend != "" && c.Backend != "serial" && c.FineBackend != c.Backend {
-				return Config{}, fmt.Errorf("core: FineBackend %q contradicts spatial backend %q under TimeSlices; name one of them (or Backend \"parareal\")", c.FineBackend, c.Backend)
-			}
-			if c.FineBackend == "" {
-				c.FineBackend = c.Backend
-			}
-			c.Backend = "parareal"
-		}
-		if c.FineBackend == "" {
-			c.FineBackend = "serial"
-		}
-		c.FineBackend, c.Version = foldVersion(c.FineBackend, c.Version)
-		if c.FineBackend == "serial" {
-			c.Procs, c.Workers = 1, 0
-		}
-		if c.StopTol > 0 || c.SteadyTol > 0 || c.ReduceEvery > 0 {
-			return Config{}, fmt.Errorf("core: parareal runs fixed time slices; convergence control (StopTol/SteadyTol/ReduceEvery) does not compose with TimeSlices")
-		}
-		if !c.FreshHalos && c.HaloDepth <= 1 {
-			// The coordinator promotes the default Lagged policy to
-			// Fresh (restart transparency); name the canonical policy.
-			c.FreshHalos = true
-		}
-	} else {
-		// A spatial run: the parallel-in-time fields are inert, so a
-		// run spelled with them is the same run without them.
-		c.TimeSlices, c.PararealIters, c.CoarseFactor, c.DefectTol, c.FineBackend = 0, 0, 0, 0, ""
 	}
 	if c.HaloDepth < 0 {
 		return Config{}, fmt.Errorf("core: halo depth must be >= 1, got %d", c.HaloDepth)
@@ -318,16 +227,18 @@ func (c Config) Canonical() (Config, error) {
 }
 
 // foldVersion applies version aliasing to a registry name: a
-// version-pinned name implies its Version, and an explicit Version with
-// a registered pinned sibling moves onto that name. A Version that
-// contradicts the pin stays as spelled, so the registry rejects the
-// pair instead of one half silently winning.
+// version-pinned name ("mp:v5") implies its Version, and an explicit
+// Version with a registered pinned sibling moves onto that name. A
+// Version that contradicts the pin stays as spelled, so the registry
+// rejects the pair instead of one half silently winning.
 func foldVersion(name string, version int) (string, int) {
-	if v, ok := pinnedVersion(name); ok {
-		if version == 0 {
-			version = v
+	if _, suffix, ok := strings.Cut(name, ":v"); ok {
+		if v, err := strconv.Atoi(suffix); err == nil {
+			if version == 0 {
+				version = v
+			}
+			return name, version
 		}
-		return name, version
 	}
 	if version != 0 {
 		alias := fmt.Sprintf("%s:v%d", name, version)
@@ -361,12 +272,6 @@ func (c Config) options() backend.Options {
 		SteadyTol:   c.SteadyTol,
 		ReduceEvery: c.ReduceEvery,
 		ReduceGroup: c.ReduceGroup,
-
-		TimeSlices:    c.TimeSlices,
-		PararealIters: c.PararealIters,
-		CoarseFactor:  c.CoarseFactor,
-		DefectTol:     c.DefectTol,
-		Fine:          c.FineBackend,
 	}
 }
 
@@ -381,24 +286,17 @@ type Result struct {
 	// than Config.Steps when StopTol stopped the run early.
 	Steps int
 	Dt    float64
-	// Converged reports an early stop on StopTol/SteadyTol (or, for a
-	// parareal run, an adaptive defect-tolerance stop); Residuals is
-	// the monitored convergence history (step, L2 residual — or
-	// iteration, L2 defect for parareal).
+	// Converged reports an early stop on StopTol/SteadyTol; Residuals
+	// is the monitored convergence history (step, L2 residual or
+	// steadiness rate).
 	Converged bool
 	Residuals []solver.ResidualPoint
-	// TimeSlices, Iterations, and Defect report a parareal run: the
-	// slice count, the correction iterations actually run, and the
-	// final slice-boundary L2 defect. Zero for spatial runs.
-	TimeSlices int
-	Iterations int
-	Defect     float64
-	Elapsed    time.Duration
-	Diag       solver.Diagnostics
-	Comm       trace.Counters    // aggregate communication (zero for a single slab)
-	CommDir    trace.DirCounters // Comm split by exchange class (axial, radial, reductions)
-	PerRank    []par.RankStats   // per-rank profile (nil for a single slab)
-	Momentum   [][]float64       // axial momentum field rho*u
+	Elapsed   time.Duration
+	Diag      solver.Diagnostics
+	Comm      trace.Counters    // aggregate communication (zero for a single slab)
+	CommDir   trace.DirCounters // Comm split by exchange class (axial, radial, reductions)
+	PerRank   []par.RankStats   // per-rank profile (nil for a single slab)
+	Momentum  [][]float64       // axial momentum field rho*u
 }
 
 // Run lifecycle states (Run.state).
@@ -532,24 +430,21 @@ func (r *Run) Execute() (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		Backend:    br.Backend,
-		Scenario:   br.Scenario,
-		Procs:      br.Procs,
-		Px:         br.Px,
-		Pr:         br.Pr,
-		Steps:      br.Steps,
-		Dt:         br.Dt,
-		Converged:  br.Converged,
-		Residuals:  br.Residuals,
-		TimeSlices: br.TimeSlices,
-		Iterations: br.Iterations,
-		Defect:     br.Defect,
-		Elapsed:    br.Elapsed,
-		Diag:       br.Diag,
-		Comm:       br.Comm,
-		CommDir:    br.CommDir,
-		PerRank:    br.PerRank,
-		Momentum:   br.Momentum(),
+		Backend:   br.Backend,
+		Scenario:  br.Scenario,
+		Procs:     br.Procs,
+		Px:        br.Px,
+		Pr:        br.Pr,
+		Steps:     br.Steps,
+		Dt:        br.Dt,
+		Converged: br.Converged,
+		Residuals: br.Residuals,
+		Elapsed:   br.Elapsed,
+		Diag:      br.Diag,
+		Comm:      br.Comm,
+		CommDir:   br.CommDir,
+		PerRank:   br.PerRank,
+		Momentum:  br.Momentum(),
 	}
 	if res.Diag.HasNaN {
 		return res, fmt.Errorf("core: run diverged (NaN after %d steps)", br.Steps)

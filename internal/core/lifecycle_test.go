@@ -221,6 +221,12 @@ func TestCanonical(t *testing.T) {
 	if ch.ReduceEvery != 1 {
 		t.Fatalf("StopTol cadence not defaulted: %d", ch.ReduceEvery)
 	}
+	bad := small()
+	bad.StopTol = 1e-4
+	bad.SteadyTol = 1e-4
+	if _, err := bad.Canonical(); err == nil {
+		t.Fatal("StopTol with SteadyTol accepted")
+	}
 
 	// Canonicalization must be idempotent.
 	again, err := ch.Canonical()
@@ -229,105 +235,6 @@ func TestCanonical(t *testing.T) {
 	}
 	if again.Backend != ch.Backend || again.FreshHalos != ch.FreshHalos || *again.Jet != *ch.Jet {
 		t.Fatalf("not idempotent: %+v vs %+v", again, ch)
-	}
-}
-
-// TestCanonicalParareal pins the parallel-in-time normalizations the
-// service cache keys on: a spatial config spelled with TimeSlices 1 and
-// stray parareal knobs canonicalizes — and therefore config-hashes —
-// identically to the plain spatial spelling, a spatial backend name
-// with TimeSlices > 1 moves onto the parareal backend as its fine
-// propagator, and the contradictions NewRun rejects are errors here
-// too.
-func TestCanonicalParareal(t *testing.T) {
-	plain, err := small().Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spelled := small()
-	spelled.TimeSlices = 1
-	spelled.PararealIters = 3
-	spelled.CoarseFactor = 4
-	spelled.DefectTol = 1e-3
-	spelled.FineBackend = "mp:v5"
-	cs, err := spelled.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *cs.Jet != *plain.Jet {
-		t.Fatalf("physics diverged: %+v vs %+v", cs.Jet, plain.Jet)
-	}
-	cs.Jet, plain.Jet = nil, nil
-	if cs != plain {
-		t.Fatalf("TimeSlices 1 spelling not cleared to the spatial config:\n  %+v\nvs\n  %+v", cs, plain)
-	}
-
-	// A spatial name with slices becomes the parareal backend, the name
-	// moving onto the fine propagator (version folding included), and
-	// the default Lagged policy folds to Fresh — the coordinator's
-	// restart-transparency promotion.
-	p := small()
-	p.Backend = "mp"
-	p.Version = 5
-	p.Procs = 2
-	p.TimeSlices = 4
-	cp, err := p.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Backend != "parareal" || cp.FineBackend != "mp:v5" || cp.TimeSlices != 4 {
-		t.Fatalf("parareal rewrite: %+v", cp)
-	}
-	if !cp.FreshHalos {
-		t.Fatalf("Lagged not folded to Fresh under parareal: %+v", cp)
-	}
-	cp2, err := cp.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp2.Backend != cp.Backend || cp2.FineBackend != cp.FineBackend {
-		t.Fatalf("parareal canonicalization not idempotent: %+v vs %+v", cp2, cp)
-	}
-
-	// An explicit FineBackend wins over the default serial resolution
-	// of an empty Backend — the fine propagator and its width survive —
-	// while contradicting a non-serial spatial name is an error.
-	f := small()
-	f.TimeSlices = 2
-	f.FineBackend = "mp2d"
-	f.Procs = 2
-	cf, err := f.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cf.Backend != "parareal" || cf.FineBackend != "mp2d" || cf.Procs != 2 {
-		t.Fatalf("explicit fine propagator clobbered by the serial default: %+v", cf)
-	}
-	bad := small()
-	bad.Backend = "mp2d"
-	bad.TimeSlices = 2
-	bad.FineBackend = "hybrid"
-	if _, err := bad.Canonical(); err == nil {
-		t.Fatal("contradictory spatial/fine backend pair accepted")
-	}
-
-	// The contradictions NewRun rejects are Canonical errors too.
-	bad = small()
-	bad.Backend = "parareal"
-	if _, err := bad.Canonical(); err == nil {
-		t.Fatal("parareal backend without TimeSlices accepted")
-	}
-	bad = small()
-	bad.TimeSlices = 4
-	bad.StopTol = 1e-4
-	if _, err := bad.Canonical(); err == nil {
-		t.Fatal("parareal with convergence control accepted")
-	}
-	bad = small()
-	bad.StopTol = 1e-4
-	bad.SteadyTol = 1e-4
-	if _, err := bad.Canonical(); err == nil {
-		t.Fatal("StopTol with SteadyTol accepted")
 	}
 }
 
@@ -351,14 +258,6 @@ func aliasSpellings() []Config {
 		{Backend: "mp:v5", Procs: 2, HaloDepth: 1},
 		{Backend: "mp:v5", Procs: 2, FreshHalos: true},
 		{Backend: "mp:v5", Procs: 2, HaloDepth: 1, StopTol: 1e-1},
-		// Inert parallel-in-time fields on a spatial run.
-		{TimeSlices: 1, PararealIters: 3, CoarseFactor: 4, DefectTol: 1e-3, FineBackend: "mp:v5"},
-		{Backend: "mp:v5", Procs: 2, PararealIters: 2},
-		// Spatial names with slices are parareal runs.
-		{Backend: "mp", Version: 5, Procs: 2, TimeSlices: 4},
-		{Backend: "parareal", FineBackend: "mp:v5", Procs: 2, TimeSlices: 4},
-		{TimeSlices: 2, FineBackend: "mp2d", Procs: 2},
-		{TimeSlices: 2, Procs: 4}, // serial fine propagator: one slab per slice
 	}
 	for i := range table {
 		if table[i].Nx == 0 {
@@ -450,15 +349,8 @@ func TestNewRunFollowsCanonical(t *testing.T) {
 		}
 		return res
 	}
-	// Inert parallel-in-time fields of a spatial run are cleared, not
-	// rejected by the spatial backend.
-	c := small()
-	c.PararealIters, c.CoarseFactor, c.DefectTol, c.FineBackend = 2, 4, 1e-3, "mp:v5"
-	if res := exec(c); res.Backend != "serial" || res.TimeSlices != 0 {
-		t.Errorf("inert parareal fields changed the run: %+v", res)
-	}
 	// Results carry the canonical backend name.
-	c = small()
+	c := small()
 	c.Backend, c.Version, c.Procs = "mp2d", 6, 2
 	if res := exec(c); res.Backend != "mp2d:v6" {
 		t.Errorf("mp2d + Version 6 reported backend %q, want mp2d:v6", res.Backend)
@@ -469,18 +361,6 @@ func TestNewRunFollowsCanonical(t *testing.T) {
 	c.Backend, c.Version, c.Procs = "mp", 5, 2
 	if res := exec(c); res.Backend != "mp:v5" {
 		t.Errorf("mp + Version 5 reported backend %q, want mp:v5", res.Backend)
-	}
-	// A serial fine propagator is one slab per slice whatever Procs says.
-	c = small()
-	c.TimeSlices, c.Procs = 2, 4
-	if res := exec(c); res.Backend != "parareal" || res.Procs != 1 {
-		t.Errorf("serial-fine parareal reported backend %q procs %d, want parareal/1", res.Backend, res.Procs)
-	}
-	// Negative slice counts are rejected, not run as a spatial run.
-	c = small()
-	c.TimeSlices = -1
-	if _, err := NewRun(c); err == nil {
-		t.Error("TimeSlices -1 accepted")
 	}
 	// The default scenario is the registered jet, whose Problem
 	// validates the physics at construction, not first at Execute.

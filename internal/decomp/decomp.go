@@ -60,19 +60,11 @@ func Radial(nr, p int) (*Decomposition, error) {
 
 // TimeSlices splits a step range [0, steps) over k time slices in
 // contiguous balanced blocks — the parallel-in-time (Parareal) analogue
-// of Axial. A slice must hold at least one step; there is no stencil
+// of Axial, used by the co-simulated schedule and the serial Parareal
+// study. A slice must hold at least one step; there is no stencil
 // along the time axis, so no wider minimum applies.
 func TimeSlices(steps, k int) (*Decomposition, error) {
 	return split(steps, k, 1, "steps")
-}
-
-// WeightedTimeSlices splits steps over k time slices minimizing the
-// maximum slice cost under a per-step cost profile — the same min-max
-// machinery the cost-weighted spatial decomposition uses, for schedules
-// whose per-step cost varies (e.g. a reduction cadence or adaptive
-// refinement). nil or uniform weights reproduce TimeSlices exactly.
-func WeightedTimeSlices(steps, k int, weights []float64) (*Decomposition, error) {
-	return weightedSplit(steps, k, 1, weights, "steps")
 }
 
 // Range returns the owned column range [i0, i0+n) of rank r.

@@ -73,8 +73,7 @@ func FuzzAxial(f *testing.F) {
 
 // FuzzTimeSlices fuzzes the parallel-in-time step partitioning: any
 // accepted (steps, k) must satisfy the 1-D invariants with the time
-// axis's minimum of one step per slice, and the weighted variant under
-// a ramp profile must cover the same range with the same slice count.
+// axis's minimum of one step per slice.
 func FuzzTimeSlices(f *testing.F) {
 	f.Add(5000, 4)
 	f.Add(8, 2) // the golden-case shape
@@ -95,31 +94,6 @@ func FuzzTimeSlices(f *testing.F) {
 				t.Fatalf("(%d,%d) accepted but violates validation", steps, k)
 			}
 			checkDecomposition(t, d, steps, k, 1)
-		}
-		if steps < 1 || steps > 1<<12 {
-			return
-		}
-		ramp := make([]float64, steps)
-		for i := range ramp {
-			ramp[i] = 1 + float64(i)/float64(steps)
-		}
-		w, werr := WeightedTimeSlices(steps, k, ramp)
-		if (err == nil) != (werr == nil) {
-			t.Fatalf("(%d,%d): uniform err=%v but weighted err=%v", steps, k, err, werr)
-		}
-		if werr != nil {
-			return
-		}
-		pos := 0
-		for r := 0; r < k; r++ {
-			s0, n := w.Range(r)
-			if s0 != pos || n < 1 {
-				t.Fatalf("weighted slice %d: range [%d,+%d) breaks coverage at %d", r, s0, n, pos)
-			}
-			pos += n
-		}
-		if pos != steps {
-			t.Fatalf("weighted slices cover %d steps, want %d", pos, steps)
 		}
 	})
 }

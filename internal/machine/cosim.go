@@ -3,8 +3,6 @@ package machine
 import (
 	"repro/internal/decomp"
 	"repro/internal/msg"
-	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -72,15 +70,15 @@ type pair struct{ from, to int }
 type cosim struct {
 	p     Platform
 	ch    trace.Characterization
-	eng   *sim.Engine
-	net   netsim.Network
+	eng   *Engine
+	net   Network
 	ranks []*rank
 	steps int
 	hostF float64
 	// daemons serializes each host's library forwarding work (the PVM
 	// daemon store-and-forward path): split messages do not pipeline in
 	// parallel, which is why Version 7 costs startups on fast switches.
-	daemons []sim.Resource
+	daemons []Resource
 	// Mailboxes of messages sent or in flight, FIFO per directed pair.
 	mail map[pair][]inFlight
 	// Posted receives blocked on empty mailboxes.
@@ -104,11 +102,11 @@ func newCosim(p Platform, ch trace.Characterization, d *decomp.Decomposition, co
 	}
 	cs := &cosim{
 		p: p, ch: ch,
-		eng:     sim.New(),
+		eng:     NewEngine(),
 		net:     p.NewNetwork(d.P),
 		steps:   steps,
 		hostF:   hostF,
-		daemons: make([]sim.Resource, d.P),
+		daemons: make([]Resource, d.P),
 		mail:    make(map[pair][]inFlight),
 		recvs:   make(map[pair][]pendingRecv),
 	}

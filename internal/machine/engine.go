@@ -1,13 +1,14 @@
-// Package sim is a deterministic discrete-event simulation engine: an
-// event heap ordered by (time, sequence) driving callback events. It is
-// the substrate under the platform co-simulation (internal/machine) and
-// the network models (internal/netsim).
-package sim
+package machine
 
 import (
 	"container/heap"
 	"fmt"
 )
+
+// The deterministic discrete-event simulation engine: an event heap
+// ordered by (time, sequence) driving callback events. It is the
+// substrate under the platform co-simulation (cosim.go) and the network
+// models (network.go).
 
 // Engine runs events in nondecreasing time order; ties break by
 // scheduling order, making every simulation fully deterministic.
@@ -37,7 +38,7 @@ func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 // New creates an engine at time zero.
-func New() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -45,7 +46,7 @@ func (e *Engine) Now() float64 { return e.now }
 // Schedule queues fn to run after delay seconds.
 func (e *Engine) Schedule(delay float64, fn func()) {
 	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %g", delay))
+		panic(fmt.Sprintf("machine: negative event delay %g", delay))
 	}
 	e.At(e.now+delay, fn)
 }
@@ -53,7 +54,7 @@ func (e *Engine) Schedule(delay float64, fn func()) {
 // At queues fn at absolute time t (not before now).
 func (e *Engine) At(t float64, fn func()) {
 	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %g before now %g", t, e.now))
+		panic(fmt.Sprintf("machine: event scheduled at %g before now %g", t, e.now))
 	}
 	e.seq++
 	heap.Push(&e.pq, event{t: t, seq: e.seq, fn: fn})

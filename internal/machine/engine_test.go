@@ -1,4 +1,4 @@
-package sim
+package machine
 
 import (
 	"testing"
@@ -6,7 +6,7 @@ import (
 )
 
 func TestEventOrdering(t *testing.T) {
-	e := New()
+	e := NewEngine()
 	var order []int
 	e.Schedule(3, func() { order = append(order, 3) })
 	e.Schedule(1, func() { order = append(order, 1) })
@@ -21,7 +21,7 @@ func TestEventOrdering(t *testing.T) {
 }
 
 func TestTieBreakBySchedulingOrder(t *testing.T) {
-	e := New()
+	e := NewEngine()
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -36,7 +36,7 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 }
 
 func TestEventsScheduledDuringRun(t *testing.T) {
-	e := New()
+	e := NewEngine()
 	count := 0
 	var chain func()
 	chain = func() {
@@ -53,7 +53,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
-	e := New()
+	e := NewEngine()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic")
@@ -63,7 +63,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 }
 
 func TestSchedulePastPanics(t *testing.T) {
-	e := New()
+	e := NewEngine()
 	e.Schedule(5, func() {
 		defer func() {
 			if recover() == nil {

@@ -1,4 +1,6 @@
-// Package mplib models the message-passing libraries of the paper: the
+package machine
+
+// The message-passing libraries of the paper, modeled by their
 // per-message CPU overheads (packing, copies, context switches between
 // the application and the network layers — the overheads the paper's
 // conclusion singles out), daemon/stack latency, and eager vs blocking
@@ -8,10 +10,9 @@
 // measurements of each library; the internal/study claims (printed by
 // cmd/figures) pin the platform orderings the calibration must
 // reproduce.
-package mplib
 
-// Model describes one message-passing library.
-type Model struct {
+// Library describes one message-passing library.
+type Library struct {
 	Name string
 	// SendSetupS/SendPerByteS: sender CPU time per message (busy time).
 	SendSetupS   float64
@@ -33,10 +34,10 @@ type Model struct {
 }
 
 // SendCPU returns the sender busy time for a message of n bytes.
-func (m Model) SendCPU(n int) float64 { return m.SendSetupS + float64(n)*m.SendPerByteS }
+func (m Library) SendCPU(n int) float64 { return m.SendSetupS + float64(n)*m.SendPerByteS }
 
 // RecvCPU returns the receiver busy time for a message of n bytes.
-func (m Model) RecvCPU(n int) float64 { return m.RecvSetupS + float64(n)*m.RecvPerByteS }
+func (m Library) RecvCPU(n int) float64 { return m.RecvSetupS + float64(n)*m.RecvPerByteS }
 
 // The paper's libraries.
 var (
@@ -44,7 +45,7 @@ var (
 	// pvmd daemons over UDP — two extra copies and two context switches
 	// per message. This is the dominant cost the paper's conclusion
 	// calls out for NOW platforms.
-	PVM = Model{
+	PVM = Library{
 		Name:       "PVM",
 		SendSetupS: 1.0e-3, SendPerByteS: 35e-9,
 		RecvSetupS: 0.9e-3, RecvPerByteS: 30e-9,
@@ -52,7 +53,7 @@ var (
 	}
 	// PVMe, IBM's customized PVM for the SP: bypasses UDP but keeps the
 	// PVM daemon structure and copy path.
-	PVMe = Model{
+	PVMe = Library{
 		Name:       "PVMe",
 		SendSetupS: 3.5e-3, SendPerByteS: 300e-9,
 		RecvSetupS: 3.0e-3, RecvPerByteS: 300e-9,
@@ -60,7 +61,7 @@ var (
 	}
 	// MPL, IBM's native library: user-space access to the switch, but
 	// the available send primitive blocks (rendezvous).
-	MPL = Model{
+	MPL = Library{
 		Name:       "MPL",
 		SendSetupS: 45e-6, SendPerByteS: 9e-9,
 		RecvSetupS: 40e-6, RecvPerByteS: 9e-9,
@@ -70,7 +71,7 @@ var (
 	// CrayPVM, Cray's customized PVM for the T3D: thin layer over the
 	// torus with small setup cost (the paper: "a relatively small setup
 	// cost").
-	CrayPVM = Model{
+	CrayPVM = Library{
 		Name:       "Cray PVM",
 		SendSetupS: 30e-6, SendPerByteS: 5e-9,
 		RecvSetupS: 25e-6, RecvPerByteS: 5e-9,

@@ -1,9 +1,9 @@
-package mplib
+package machine
 
 import "testing"
 
 func TestCostFunctions(t *testing.T) {
-	m := Model{SendSetupS: 1e-3, SendPerByteS: 1e-6, RecvSetupS: 5e-4, RecvPerByteS: 2e-6}
+	m := Library{SendSetupS: 1e-3, SendPerByteS: 1e-6, RecvSetupS: 5e-4, RecvPerByteS: 2e-6}
 	if got := m.SendCPU(1000); got != 2e-3 {
 		t.Errorf("SendCPU = %g", got)
 	}

@@ -1,8 +1,8 @@
 // Package machine assembles the substrate models — processors
-// (internal/cpu + internal/cache), interconnects (internal/netsim), and
-// message-passing libraries (internal/mplib) — into the paper's five
+// (internal/cpu + internal/cache), interconnects (network.go), and
+// message-passing libraries (library.go) — into the paper's five
 // platform families, and co-simulates the solver's communication
-// schedule on them with a discrete-event engine.
+// schedule on them with a discrete-event engine (engine.go).
 //
 // The workload driving the co-simulation is the application
 // characterization of Table 1 (internal/trace): per-rank FLOPs per step
@@ -18,8 +18,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/decomp"
 	"repro/internal/kernels"
-	"repro/internal/mplib"
-	"repro/internal/netsim"
 	"repro/internal/trace"
 )
 
@@ -32,8 +30,8 @@ type Platform struct {
 	// Vec is the vector processor model (Y-MP only).
 	Vec *cpu.Vector
 	// NewNetwork builds a fresh network state for one run.
-	NewNetwork func(procs int) netsim.Network
-	Lib        mplib.Model
+	NewNetwork func(procs int) Network
+	Lib        Library
 	// LibHostFactor scales library costs down on faster hosts (the PVM
 	// daemons are CPU work on the node itself). Zero means 1.
 	LibHostFactor float64
@@ -46,14 +44,14 @@ type Platform struct {
 
 // The paper's platforms.
 var (
-	LACE560Ethernet = Platform{Name: "LACE/560 Ethernet", MaxProcs: 16, Chip: &cpu.RS560, NewNetwork: netsim.NewEthernet, Lib: mplib.PVM}
-	LACE560AllnodeS = Platform{Name: "LACE/560 ALLNODE-S", MaxProcs: 16, Chip: &cpu.RS560, NewNetwork: netsim.NewAllnodeS, Lib: mplib.PVM}
-	LACE560FDDI     = Platform{Name: "LACE/560 FDDI", MaxProcs: 16, Chip: &cpu.RS560, NewNetwork: netsim.NewFDDI, Lib: mplib.PVM}
-	LACE590AllnodeF = Platform{Name: "LACE/590 ALLNODE-F", MaxProcs: 16, Chip: &cpu.RS590, NewNetwork: netsim.NewAllnodeF, Lib: mplib.PVM, LibHostFactor: 1.55}
-	LACE590ATM      = Platform{Name: "LACE/590 ATM", MaxProcs: 16, Chip: &cpu.RS590, NewNetwork: netsim.NewATM, Lib: mplib.PVM, LibHostFactor: 1.55}
-	SPMPL           = Platform{Name: "IBM SP (MPL)", MaxProcs: 16, Chip: &cpu.RS370, NewNetwork: netsim.NewSPSwitch, Lib: mplib.MPL}
-	SPPVMe          = Platform{Name: "IBM SP (PVMe)", MaxProcs: 16, Chip: &cpu.RS370, NewNetwork: netsim.NewSPSwitch, Lib: mplib.PVMe}
-	T3D             = Platform{Name: "Cray T3D", MaxProcs: 16, Chip: &cpu.AlphaT3D, NewNetwork: netsim.NewT3DTorus, Lib: mplib.CrayPVM}
+	LACE560Ethernet = Platform{Name: "LACE/560 Ethernet", MaxProcs: 16, Chip: &cpu.RS560, NewNetwork: NewEthernet, Lib: PVM}
+	LACE560AllnodeS = Platform{Name: "LACE/560 ALLNODE-S", MaxProcs: 16, Chip: &cpu.RS560, NewNetwork: NewAllnodeS, Lib: PVM}
+	LACE560FDDI     = Platform{Name: "LACE/560 FDDI", MaxProcs: 16, Chip: &cpu.RS560, NewNetwork: NewFDDI, Lib: PVM}
+	LACE590AllnodeF = Platform{Name: "LACE/590 ALLNODE-F", MaxProcs: 16, Chip: &cpu.RS590, NewNetwork: NewAllnodeF, Lib: PVM, LibHostFactor: 1.55}
+	LACE590ATM      = Platform{Name: "LACE/590 ATM", MaxProcs: 16, Chip: &cpu.RS590, NewNetwork: NewATM, Lib: PVM, LibHostFactor: 1.55}
+	SPMPL           = Platform{Name: "IBM SP (MPL)", MaxProcs: 16, Chip: &cpu.RS370, NewNetwork: NewSPSwitch, Lib: MPL}
+	SPPVMe          = Platform{Name: "IBM SP (PVMe)", MaxProcs: 16, Chip: &cpu.RS370, NewNetwork: NewSPSwitch, Lib: PVMe}
+	T3D             = Platform{Name: "Cray T3D", MaxProcs: 16, Chip: &cpu.AlphaT3D, NewNetwork: NewT3DTorus, Lib: CrayPVM}
 	YMP             = Platform{Name: "Cray Y-MP", MaxProcs: 8, Vec: &cpu.YMP, DOALLForkS: 25e-6, FixedOverheadS: 25}
 )
 
@@ -191,11 +189,4 @@ func (p Platform) simulateVector(ch trace.Characterization, procs int) Outcome {
 		per[i] = RankOutcome{Busy: busy, Wait: sync}
 	}
 	return Outcome{Platform: p.Name, Procs: procs, Seconds: sec, BusySeconds: busy + p.FixedOverheadS, WaitSeconds: sync, PerRank: per}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,5 +1,9 @@
-// Package netsim models the interconnects of the paper's Section 4 as
-// stateful contention networks over resource timelines:
+package machine
+
+import "fmt"
+
+// The interconnects of the paper's Section 4, modeled as stateful
+// contention networks over resource timelines:
 //
 //	Ethernet   — 10 Mb/s shared bus, CSMA inefficiency under load
 //	FDDI       — 100 Mb/s token ring (shared medium, token latency)
@@ -10,13 +14,6 @@
 //	T3D torus  — 3-D torus, 150 MB/s links, dimension-order routing
 //
 // A Network owns its state; create a fresh instance per simulation run.
-package netsim
-
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
 
 // Network computes message delivery times under contention.
 type Network interface {
@@ -51,7 +48,7 @@ type SharedBus struct {
 	OverflowPenaltyS float64
 	// LatencyS is the propagation/adapter latency added after the bus.
 	LatencyS float64
-	bus      sim.Resource
+	bus      Resource
 }
 
 // NewEthernet returns the LACE 10 Mb/s shared Ethernet.
@@ -93,33 +90,33 @@ type Switched struct {
 	LinkBps    float64
 	LatencyS   float64
 	StageLinks float64 // 0 = unlimited internal capacity
-	out        []sim.Resource
-	in         []sim.Resource
-	stage      sim.Resource
+	out        []Resource
+	in         []Resource
+	stage      Resource
 }
 
 // NewATM returns the LACE 155 Mb/s ATM network.
 func NewATM(procs int) Network {
 	return &Switched{name: "ATM", LinkBps: mbps(155), LatencyS: 120e-6, StageLinks: 0,
-		out: make([]sim.Resource, procs), in: make([]sim.Resource, procs)}
+		out: make([]Resource, procs), in: make([]Resource, procs)}
 }
 
 // NewAllnodeF returns IBM's ALLNODE switch, fast version (64 Mb/s links).
 func NewAllnodeF(procs int) Network {
 	return &Switched{name: "ALLNODE-F", LinkBps: mbps(64), LatencyS: 80e-6, StageLinks: 8,
-		out: make([]sim.Resource, procs), in: make([]sim.Resource, procs)}
+		out: make([]Resource, procs), in: make([]Resource, procs)}
 }
 
 // NewAllnodeS returns the ALLNODE prototype (32 Mb/s links).
 func NewAllnodeS(procs int) Network {
 	return &Switched{name: "ALLNODE-S", LinkBps: mbps(32), LatencyS: 90e-6, StageLinks: 8,
-		out: make([]sim.Resource, procs), in: make([]sim.Resource, procs)}
+		out: make([]Resource, procs), in: make([]Resource, procs)}
 }
 
 // NewSPSwitch returns the SP's Omega-topology switch (40 MB/s links).
 func NewSPSwitch(procs int) Network {
 	return &Switched{name: "SP switch", LinkBps: 40e6, LatencyS: 30e-6, StageLinks: 16,
-		out: make([]sim.Resource, procs), in: make([]sim.Resource, procs)}
+		out: make([]Resource, procs), in: make([]Resource, procs)}
 }
 
 // Name implements Network.
@@ -160,7 +157,7 @@ type Torus struct {
 	LinkBps  float64
 	HopS     float64
 	LatencyS float64
-	links    map[[2]int]*sim.Resource
+	links    map[[2]int]*Resource
 }
 
 // NewT3DTorus returns the paper's 64-node torus (8x4x2) restricted to
@@ -169,7 +166,7 @@ func NewT3DTorus(procs int) Network {
 	return &Torus{
 		name: "T3D torus", Dims: [3]int{8, 4, 2},
 		LinkBps: 150e6, HopS: 1e-6, LatencyS: 2e-6,
-		links: make(map[[2]int]*sim.Resource),
+		links: make(map[[2]int]*Resource),
 	}
 }
 
@@ -211,11 +208,11 @@ func (t *Torus) route(from, to int) []int {
 }
 
 // link returns the resource for a directed link.
-func (t *Torus) link(a, b int) *sim.Resource {
+func (t *Torus) link(a, b int) *Resource {
 	k := [2]int{a, b}
 	r, ok := t.links[k]
 	if !ok {
-		r = &sim.Resource{}
+		r = &Resource{}
 		t.links[k] = r
 	}
 	return r
@@ -227,7 +224,7 @@ func (t *Torus) link(a, b int) *sim.Resource {
 // single-hop neighbour traffic).
 func (t *Torus) Transfer(tm float64, from, to, bytes int) float64 {
 	if from == to {
-		panic(fmt.Sprintf("netsim: self transfer at node %d", from))
+		panic(fmt.Sprintf("machine: self transfer at node %d", from))
 	}
 	path := t.route(from, to)
 	dur := float64(bytes) / t.LinkBps

@@ -1,4 +1,4 @@
-package netsim
+package machine
 
 import (
 	"math"

@@ -9,8 +9,9 @@ import (
 
 // SimulateParareal prices a parallel-in-time run: the processor pool
 // splits into ch.TimeSlices groups of procs/TimeSlices ranks, each
-// owning one slice of [0, Steps]. The schedule follows the coordinator
-// of internal/backend exactly:
+// owning one slice of [0, Steps]. The schedule is the pipelined
+// Parareal coordinator's (the serial loop of internal/study computes the
+// same iterates one slice after another):
 //
 //	total = init coarse sweep
 //	      + iters x ( fine slice, parallel across groups

@@ -343,7 +343,7 @@ func (r *Runner) RunControlled(n int, ctl solver.Control) *Result {
 	res := &Result{
 		Steps:     runs[0].Steps,
 		Procs:     r.Opt.Procs,
-		Dt:        r.Dt(),
+		Dt:        r.Slabs[0].Dt, // the global CFL step every slab runs at
 		Elapsed:   time.Since(start),
 		Converged: runs[0].Converged,
 		Residuals: runs[0].Residuals,
@@ -367,26 +367,10 @@ func (r *Runner) RunControlled(n int, ctl solver.Control) *Result {
 	return res
 }
 
-// Dt returns the global CFL time step every slab runs at.
-func (r *Runner) Dt() float64 { return r.Slabs[0].Dt }
-
-// SeedState loads a full-grid conservative state into every slab —
-// whole rectangle, redundant Wide shell included — and positions every
-// clock at composite step `step` (time = step*dt), so the next advance
-// behaves exactly as it would mid-way through a continuous run. The
-// Parareal coordinator uses this to make the runner a restartable fine
-// propagator.
-func (r *Runner) SeedState(full *flux.State, step int) {
-	for _, sl := range r.Slabs {
-		sl.LoadState(full)
-		sl.SetClock(step, float64(step)*sl.Dt, sl.Dt)
-	}
-}
-
-// AdvanceSteps runs n composite steps concurrently at the fixed dt with
-// no monitoring — the light-weight step loop of a Parareal fine
-// propagation, callable repeatedly between SeedState/StoreState.
-func (r *Runner) AdvanceSteps(n int) {
+// Advance runs n composite steps concurrently at the fixed dt with no
+// monitoring — the light-weight step loop of a propagator, callable
+// repeatedly between StoreState gathers.
+func (r *Runner) Advance(n int) {
 	var wg sync.WaitGroup
 	for _, sl := range r.Slabs {
 		wg.Add(1)

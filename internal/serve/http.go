@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"sync"
 )
@@ -18,12 +19,13 @@ import (
 // Job-level failures (a config the registry rejects, a diverged run)
 // come back 200 with ok=false and the error in the body — the service
 // worked, the job didn't. Admission shedding (ErrBusy/ErrClosed) is 503
-// so load balancers and clients back off; malformed JSON is 400.
+// so load balancers and clients back off; malformed JSON, and a job
+// field the protocol does not define, is 400.
 func (s *Scheduler) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /run", func(w http.ResponseWriter, r *http.Request) {
 		var job Job
-		if err := json.NewDecoder(r.Body).Decode(&job); err != nil {
+		if err := decodeStrict(r.Body, &job); err != nil {
 			http.Error(w, "bad job: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -36,7 +38,7 @@ func (s *Scheduler) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
 		var jobs []Job
-		if err := json.NewDecoder(r.Body).Decode(&jobs); err != nil {
+		if err := decodeStrict(r.Body, &jobs); err != nil {
 			http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -61,6 +63,15 @@ func (s *Scheduler) Handler() http.Handler {
 		w.Write([]byte("ok\n"))
 	})
 	return mux
+}
+
+// decodeStrict decodes one JSON value, rejecting fields the target does
+// not define: a misspelled job field must fail, not run and be cached
+// under a config other than the one asked for.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -124,3 +124,27 @@ func TestHTTPShedding(t *testing.T) {
 		t.Fatalf("shed result: %+v", res)
 	}
 }
+
+// TestHTTPRejectsUnknownFields: a job field the protocol does not
+// define is a 400, on /run and /batch alike — never a run served and
+// cached under a config other than the one asked for. That covers
+// misspellings and the retired parallel-in-time fields.
+func TestHTTPRejectsUnknownFields(t *testing.T) {
+	s := New(Options{Slots: 1})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for _, c := range []struct{ path, body string }{
+		{"/run", `{"nx":64,"nr":24,"stepz":9}`},
+		{"/run", `{"nx":64,"nr":24,"steps":4,"time_slices":4}`},
+		{"/batch", `[{"nx":64,"nr":24,"steps":4},{"nx":64,"nr":24,"stepz":9}]`},
+	} {
+		resp, body := postJSON(t, srv, c.path, c.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %s: status %d, want 400: %s", c.path, c.body, resp.StatusCode, body)
+		}
+	}
+	if st := s.Stats(); st.CacheMisses != 0 {
+		t.Errorf("a rejected job reached the solver: %+v", st)
+	}
+}

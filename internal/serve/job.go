@@ -38,13 +38,6 @@ type Job struct {
 	// SteadyTol is the velocity-steadiness stopping tolerance (the
 	// cavity criterion), mutually exclusive with Tol.
 	SteadyTol float64 `json:"steady_tol,omitempty"`
-	// TimeSlices/PararealIters/CoarseFactor/DefectTol/Fine mirror the
-	// parallel-in-time CLI flags (core.Config fields of the same names).
-	TimeSlices    int     `json:"time_slices,omitempty"`
-	PararealIters int     `json:"parareal_iters,omitempty"`
-	CoarseFactor  int     `json:"coarse_factor,omitempty"`
-	DefectTol     float64 `json:"defect_tol,omitempty"`
-	Fine          string  `json:"fine,omitempty"`
 	// Reynolds and Eps override the jet's parameters for parameter
 	// sweeps (Eps is a pointer so an explicit 0 — unexcited — is
 	// distinguishable from "unset"). Jet scenario only; the
@@ -69,12 +62,6 @@ func (j Job) Config() core.Config {
 		StopTol:     j.Tol,
 		ReduceEvery: j.ReduceEvery,
 		SteadyTol:   j.SteadyTol,
-
-		TimeSlices:    j.TimeSlices,
-		PararealIters: j.PararealIters,
-		CoarseFactor:  j.CoarseFactor,
-		DefectTol:     j.DefectTol,
-		FineBackend:   j.Fine,
 	}
 	if j.Reynolds > 0 || j.Eps != nil {
 		jc := jet.Paper()
@@ -107,14 +94,8 @@ type JobResult struct {
 	Steps     int     `json:"steps,omitempty"`
 	Dt        float64 `json:"dt,omitempty"`
 	Converged bool    `json:"converged,omitempty"`
-	// TimeSlices/Iterations/Defect report a parareal run (zero for
-	// spatial runs): slice count, correction iterations actually run,
-	// and the final slice-boundary L2 defect.
-	TimeSlices int     `json:"time_slices,omitempty"`
-	Iterations int     `json:"iterations,omitempty"`
-	Defect     float64 `json:"defect,omitempty"`
-	Mass       float64 `json:"mass,omitempty"`
-	Energy     float64 `json:"energy,omitempty"`
+	Mass      float64 `json:"mass,omitempty"`
+	Energy    float64 `json:"energy,omitempty"`
 	// MomentumSHA256 fingerprints the full axial-momentum field bit for
 	// bit: a cached result carries the checksum of the cold run it
 	// replays, so clients can verify bitwise identity end to end.
@@ -141,9 +122,6 @@ func ResultOf(id string, rep *Reply, err error) JobResult {
 		Steps:          r.Steps,
 		Dt:             r.Dt,
 		Converged:      r.Converged,
-		TimeSlices:     r.TimeSlices,
-		Iterations:     r.Iterations,
-		Defect:         r.Defect,
 		Mass:           r.Diag.Mass,
 		Energy:         r.Diag.Energy,
 		MomentumSHA256: MomentumChecksum(r.Momentum),

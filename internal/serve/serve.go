@@ -257,17 +257,12 @@ func runCold(cc core.Config) (*core.Result, error) {
 }
 
 // widthOf is the admission width of a canonical config: the goroutines
-// the run computes on — time slices × ranks (or shm workers) × per-rank
-// workers, the spatial shape being the fine propagator's under parareal
-// — clamped to the slot pool so an oversubscribed job degenerates to
-// "the whole machine" instead of never being admitted.
+// the run computes on — ranks (or shm workers) × per-rank workers —
+// clamped to the slot pool so an oversubscribed job degenerates to "the
+// whole machine" instead of never being admitted.
 func (s *Scheduler) widthOf(cc core.Config) int {
-	spatial := cc.Backend
-	if spatial == "parareal" {
-		spatial = cc.FineBackend
-	}
-	w := max(1, cc.TimeSlices) * cc.Procs
-	if spatial == "hybrid" {
+	w := cc.Procs
+	if cc.Backend == "hybrid" {
 		per := cc.Workers
 		if per <= 0 {
 			// The hybrid backend's host default: NumCPU spread over the

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -368,28 +367,23 @@ func TestKeyAliasing(t *testing.T) {
 // fails the test, so growing either struct forces the question "is this
 // run identity?" to be answered where the answer is checked.
 var keyPerturbed = map[string]any{
-	"Scenario":      "channel",
-	"Nx":            65,
-	"Nr":            25,
-	"Steps":         9,
-	"Backend":       "hybrid",
-	"Procs":         4,
-	"Workers":       2,
-	"Px":            2,
-	"Pr":            2,
-	"Version":       6,
-	"Balance":       "flops",
-	"FreshHalos":    true,
-	"HaloDepth":     2,
-	"ReduceGroup":   2,
-	"StopTol":       1e-4,
-	"ReduceEvery":   5,
-	"SteadyTol":     1e-3,
-	"TimeSlices":    3,
-	"PararealIters": 2,
-	"CoarseFactor":  1,
-	"DefectTol":     math.Nextafter(1e-3, 1),
-	"FineBackend":   "hybrid",
+	"Scenario":    "channel",
+	"Nx":          65,
+	"Nr":          25,
+	"Steps":       9,
+	"Backend":     "hybrid",
+	"Procs":       4,
+	"Workers":     2,
+	"Px":          2,
+	"Pr":          2,
+	"Version":     6,
+	"Balance":     "flops",
+	"FreshHalos":  true,
+	"HaloDepth":   2,
+	"ReduceGroup": 2,
+	"StopTol":     1e-4,
+	"ReduceEvery": 5,
+	"SteadyTol":   1e-3,
 
 	"Jet.MachCenter": 1.6,
 	"Jet.TempRatio":  0.6,
@@ -409,29 +403,23 @@ var keyFolded = map[string]func(*core.Config){
 }
 
 // TestKeyCoversEveryField walks core.Config and jet.Config by
-// reflection: perturbing each field on a canonical base (a spatial one,
-// or a parareal one for the fields that are inert without time slices)
-// must change serve.Key, unless the field is recorded as folded by
-// Canonical — and then its respelling must not change it.
+// reflection: perturbing each field on a canonical base must change
+// serve.Key, unless the field is recorded as folded by Canonical — and
+// then its respelling must not change it.
 func TestKeyCoversEveryField(t *testing.T) {
-	spatial := core.Config{Nx: 64, Nr: 24, Steps: 8, Backend: "mp2d", Procs: 2}
-	parareal := spatial
-	parareal.TimeSlices, parareal.PararealIters, parareal.CoarseFactor, parareal.DefectTol = 2, 1, 2, 1e-3
-	// moved counts the canonical bases on which set changes the key.
-	moved := func(set func(*core.Config)) int {
-		n := 0
-		for _, spelled := range []core.Config{spatial, parareal} {
-			base, err := spelled.Canonical()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := keyOf(base)
-			set(&base)
-			if got, err := Key(base); err == nil && got != want {
-				n++
-			}
-		}
-		return n
+	base, err := core.Config{Nx: 64, Nr: 24, Steps: 8, Backend: "mp2d", Procs: 2}.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// moved reports whether set changes the key of the base.
+	moved := func(set func(*core.Config)) bool {
+		c := base
+		jc := *base.Jet
+		c.Jet = &jc
+		want := keyOf(c)
+		set(&c)
+		got, err := Key(c)
+		return err == nil && got != want
 	}
 	check := func(name string, set func(c *core.Config, v reflect.Value)) {
 		v, perturbed := keyPerturbed[name]
@@ -439,9 +427,9 @@ func TestKeyCoversEveryField(t *testing.T) {
 		switch {
 		case perturbed == folded:
 			t.Errorf("field %s needs exactly one decision: a keyPerturbed value (run identity) or a keyFolded respelling (folded by Canonical)", name)
-		case folded && moved(respell) != 0:
+		case folded && moved(respell):
 			t.Errorf("%s is recorded as folded but its respelling moves the key", name)
-		case perturbed && moved(func(c *core.Config) { set(c, reflect.ValueOf(v)) }) == 0:
+		case perturbed && !moved(func(c *core.Config) { set(c, reflect.ValueOf(v)) }):
 			t.Errorf("configs differing only in %s share a cache key", name)
 		}
 	}
@@ -536,48 +524,12 @@ func TestJobCoversConfig(t *testing.T) {
 	}
 }
 
-// TestAdmissionCountsTimeSlices is the regression test for the
-// admission under-count: a parareal job runs TimeSlices × ranks
-// goroutines, so two 4-slice × 2-rank jobs must not share 8 slots.
-func TestAdmissionCountsTimeSlices(t *testing.T) {
-	s := New(Options{Slots: 8})
-	defer s.Close()
-	job := core.Config{Nx: 96, Nr: 40, Steps: 80, Backend: "parareal", FineBackend: "mp:v5",
-		Procs: 2, TimeSlices: 4, PararealIters: 4}
-	var wg sync.WaitGroup
-	submit := func(c core.Config) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := s.Submit(c); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	submit(job)
-	waitFor(t, func() bool { return s.Stats().Running == 1 })
-	job.Steps++ // a distinct run, not a coalesced duplicate
-	submit(job)
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	peak := 0
-	for running := true; running; {
-		select {
-		case <-done:
-			running = false
-		default:
-			peak = max(peak, s.Stats().Running)
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	if peak > 1 {
-		t.Errorf("two 8-wide parareal jobs ran at once on 8 slots (peak running %d)", peak)
-	}
-
-	// Per-rank workers of a hybrid fine propagator count too.
-	hybrid := core.Config{Backend: "parareal", FineBackend: "hybrid", Procs: 2, Workers: 3, TimeSlices: 2}
-	if w := New(Options{Slots: 64}).widthOf(hybrid); w != 12 {
-		t.Errorf("2 slices × 2 ranks × 3 workers admitted at width %d, want 12", w)
+// TestAdmissionCountsRankWorkers: a hybrid job computes on ranks ×
+// per-rank workers, and admission counts every one of them.
+func TestAdmissionCountsRankWorkers(t *testing.T) {
+	hybrid := core.Config{Backend: "hybrid", Procs: 2, Workers: 3}
+	if w := New(Options{Slots: 64}).widthOf(hybrid); w != 6 {
+		t.Errorf("2 ranks × 3 workers admitted at width %d, want 6", w)
 	}
 }
 
@@ -595,15 +547,12 @@ func TestEqualKeysEqualFields(t *testing.T) {
 		c := core.Config{Nx: 48, Nr: 20, Steps: 3,
 			Backend: backends[pick(len(backends))], Procs: pick(3),
 			Version: []int{0, 0, 5, 6}[pick(4)], FreshHalos: pick(2) == 0, HaloDepth: pick(3),
-			ReduceGroup: pick(2), Euler: pick(4) == 0, TimeSlices: []int{0, 0, 1, 2}[pick(4)]}
+			ReduceGroup: pick(2), Euler: pick(4) == 0}
 		if pick(2) == 0 {
 			c.Scenario = "jet"
 		}
 		if pick(3) == 0 {
 			c.Balance = "uniform"
-		}
-		if pick(3) == 0 {
-			c.PararealIters = 2
 		}
 		if pick(4) == 0 {
 			jc := jet.Paper()

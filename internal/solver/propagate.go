@@ -1,9 +1,10 @@
-// Propagator state surface: clock reseeding plus whole-state load/store
-// between a slab and a global-grid conservative bundle, and bilinear
-// resampling between grids of different resolution. Together these let a
-// Parareal coordinator treat any slab-backed solver as a propagator: seed
-// an initial condition mid-trajectory, advance, and read the result back
-// on the global grid (or a coarse companion of it).
+// Restart surface: clock reseeding plus whole-state load/store between a
+// slab and a global-grid conservative bundle, and bilinear resampling
+// between grids of different resolution. Together these let a slab act
+// as a propagator — seed an initial condition mid-trajectory, advance,
+// and read the result back on the global grid (or a coarse companion of
+// it) — which is how the serial Parareal loop of internal/study runs its
+// fine and coarse sweeps.
 package solver
 
 import (

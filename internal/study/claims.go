@@ -476,10 +476,9 @@ func Claims() []Claim {
 			Statement: "parareal time-slicing beats pure spatial scaling only where the network has stopped scaling — winning on Ethernet at a 16-processor budget, losing below the knee and on the scalable switch — and its convergence degrades with Reynolds number (Steiner et al. shape) (parallel-in-time extension)",
 			Check: func() (string, bool, error) {
 				// The cosimulated crossover at a fixed processor budget:
-				// K=4 slices, 2 correction iterations (the iteration count
-				// the adaptive coordinator measures at the benchmark
-				// tolerance — see BenchmarkAblationParareal), default
-				// coarsening. Past the Ethernet knee the fine propagators
+				// K=4 slices, 2 correction iterations (what the serial
+				// loop needs to reach a 1e-2 defect on the 128x64 jet
+				// over 8 steps), default coarsening. Past the Ethernet knee the fine propagators
 				// run at P/K ranks each, below the contention collapse;
 				// on the SP's scalable switch the redundant corrections
 				// only add cost.

@@ -2,8 +2,8 @@ package study
 
 import (
 	"fmt"
+	"math"
 
-	"repro/internal/backend"
 	"repro/internal/grid"
 	"repro/internal/jet"
 	"repro/internal/machine"
@@ -12,7 +12,7 @@ import (
 
 // ---------------------------------------------------------------------
 // Parallel-in-time: the parareal schedule priced on the 1995 platforms
-// and the real coordinator's convergence measured across Reynolds
+// and the serial Parareal loop's convergence measured across Reynolds
 // numbers.
 
 // PararealSeconds co-simulates the parareal parallel-in-time schedule:
@@ -32,7 +32,7 @@ func PararealSeconds(p machine.Platform, ch trace.Characterization, slices, iter
 }
 
 // The measured Reynolds sweep below: the unexcited jet marched by the
-// real parareal coordinator at a fixed defect tolerance, the
+// serial Parareal loop (lmt.go) at a fixed defect tolerance, the
 // convergence-rate shape Steiner et al. report (Parareal for unsteady
 // flow degrades as Reynolds number grows — the coarse propagator's
 // missing advective detail feeds back through the corrections).
@@ -57,16 +57,12 @@ type PararealRePoint struct {
 	EarlyDefect float64 // defect after the second correction iteration
 }
 
-// PararealReSweep runs the real parareal backend (serial fine
-// propagator, defect-adaptive) on the unexcited jet at each Reynolds
-// number and reports the iteration count plus the second-iteration
-// defect — the convergence-rate probe that is defined even when two
-// runs stop at the same iteration.
+// PararealReSweep runs the serial Parareal loop (2-fold coarsening,
+// defect-adaptive) on the unexcited jet at each Reynolds number and
+// reports the iteration count plus the second-iteration defect — the
+// convergence-rate probe that is defined even when two runs stop at
+// the same iteration.
 func PararealReSweep(res []float64) ([]PararealRePoint, error) {
-	be, err := backend.Get("parareal")
-	if err != nil {
-		return nil, err
-	}
 	g, err := grid.New(PararealSweepNx, PararealSweepNr, 50, 5)
 	if err != nil {
 		return nil, err
@@ -76,22 +72,18 @@ func PararealReSweep(res []float64) ([]PararealRePoint, error) {
 		cfg := jet.Paper()
 		cfg.Reynolds = re
 		cfg.Eps = 0
-		r, err := be.Run(cfg, g, backend.Options{
-			TimeSlices:   PararealSweepSlices,
-			CoarseFactor: 2,
-			DefectTol:    PararealSweepTol,
-		}, PararealSweepSteps)
+		_, defects, err := parareal(cfg, g, PararealSweepSteps, PararealSweepSlices, 2, PararealSweepTol)
 		if err != nil {
 			return nil, err
 		}
-		if r.Diag.HasNaN {
+		if math.IsNaN(defects[len(defects)-1]) {
+			// From the second iteration on, a NaN anywhere in a slice
+			// or terminal state makes the defect NaN.
 			return nil, fmt.Errorf("study: parareal Re=%g run produced NaN", re)
 		}
-		p := PararealRePoint{Re: re, Iterations: r.Iterations}
-		// Residuals[i] is the defect after iteration i+1; the first entry
-		// is +Inf (no previous iterate to difference against).
-		if len(r.Residuals) >= 2 {
-			p.EarlyDefect = r.Residuals[1].Residual
+		p := PararealRePoint{Re: re, Iterations: len(defects)}
+		if len(defects) >= 2 {
+			p.EarlyDefect = defects[1]
 		}
 		out = append(out, p)
 	}

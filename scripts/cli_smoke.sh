@@ -12,6 +12,19 @@ if go run ./cmd/jetsim -nx 64 -nr 24 -steps 4 -fresh -halo-depth 2; then
 	exit 1
 fi
 
+# Retired parallel-in-time spellings are rejected, not silently dropped:
+# the flag by jetsim's flag set, the job field by jetsimd's decoder.
+if go run ./cmd/jetsim -nx 64 -nr 24 -steps 4 -time-slices 4; then
+	echo "cli smoke: -time-slices was accepted" >&2
+	exit 1
+fi
+if err=$(echo '{"time_slices":4,"nx":64,"nr":24,"steps":4}' | go run ./cmd/jetsimd -batch 2>&1); then
+	echo "cli smoke: a job with time_slices was accepted" >&2
+	exit 1
+fi
+grep -q 'job 0: json: unknown field "time_slices"' <<<"$err" ||
+	{ echo "cli smoke: time_slices job failed for the wrong reason: $err" >&2; exit 1; }
+
 # Two alias spellings of one job are one cache line: one of the two
 # concurrently served results is the cold run, the other its cached
 # replay, under one key with one momentum checksum.
