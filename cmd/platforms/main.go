@@ -112,7 +112,9 @@ func main() {
 	}
 
 	var series []stats.Series
+	most := 0 // the largest MaxProcs of the selected platforms
 	for _, p := range plats {
+		most = max(most, p.MaxProcs)
 		s := stats.Series{Name: p.Name}
 		counts := study.ProcCounts(p.MaxProcs)
 		if *procs > 0 {
@@ -129,6 +131,11 @@ func main() {
 			s.Add(float64(np), o.Seconds)
 		}
 		series = append(series, s)
+	}
+	// Each platform skips counts above its maximum, so a -procs no
+	// selected platform can run would otherwise print an empty table.
+	if *procs > most {
+		log.Fatalf("-procs %d: no selected platform runs more than %d processors", *procs, most)
 	}
 
 	if real := host.Backend; real != "" {

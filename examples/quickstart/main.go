@@ -31,5 +31,5 @@ func main() {
 	fmt.Printf("max |v| (instability wave amplitude): %.3g\n", res.Diag.MaxV)
 	fmt.Println("\nThe inflow excitation (eps = 1e-4 at Strouhal 1/8) seeds a")
 	fmt.Println("shear-layer instability wave that convects and amplifies —")
-	fmt.Println("run examples/jetnoise for the Figure 1 flow field.")
+	fmt.Println("run cmd/figures -exp fig1 for the Figure 1 flow field.")
 }

@@ -303,7 +303,4 @@ const (
 	FlopsFluxRVisc   = 21
 	FlopsFluxRInvisc = 15
 	FlopsSource      = 4
-	DivsPrims        = 2
-	DivsStress       = 1
-	DivsSource       = 1
 )

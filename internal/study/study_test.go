@@ -76,46 +76,55 @@ func TestFig2SeriesStructure(t *testing.T) {
 	}
 }
 
+// TestFigureSeriesConsistency builds Figures 3-12 for both workloads
+// (Navier-Stokes figures are odd-numbered, Euler even) and checks each
+// figure's series count.
 func TestFigureSeriesConsistency(t *testing.T) {
-	lace, err := FigLACE(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lace) != 3 {
-		t.Fatalf("Fig3: %d series", len(lace))
-	}
-	comp, err := FigLACEComponents(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comp) != 5 { // 2 busy + 2 wait + ethernet wait
-		t.Fatalf("Fig5: %d series", len(comp))
-	}
-	vers, err := FigCommVersions(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vers) != 6 {
-		t.Fatalf("Fig8: %d series", len(vers))
-	}
-	plats, err := FigPlatforms(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plats) != 5 {
-		t.Fatalf("Fig9: %d series", len(plats))
-	}
-	libs, err := FigLibraries(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(libs) != 4 {
-		t.Fatalf("Fig11: %d series", len(libs))
-	}
-	// Busy series must fall monotonically with P on every platform.
-	for _, s := range []int{0, 2} {
-		if !libs[s].Monotone() {
-			t.Errorf("library busy series %q not monotone", libs[s].Name)
+	for _, viscous := range []bool{true, false} {
+		n := 3 // Figure number of the LACE curves for this workload
+		if !viscous {
+			n = 4
+		}
+		lace, err := FigLACE(viscous)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(lace) != 3 {
+			t.Fatalf("Fig%d: %d series", n, len(lace))
+		}
+		comp, err := FigLACEComponents(viscous)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(comp) != 5 { // 2 busy + 2 wait + ethernet wait
+			t.Fatalf("Fig%d: %d series", n+2, len(comp))
+		}
+		vers, err := FigCommVersions(viscous)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vers) != 6 {
+			t.Fatalf("Fig%d: %d series", n+4, len(vers))
+		}
+		plats, err := FigPlatforms(viscous)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plats) != 5 {
+			t.Fatalf("Fig%d: %d series", n+6, len(plats))
+		}
+		libs, err := FigLibraries(viscous)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(libs) != 4 {
+			t.Fatalf("Fig%d: %d series", n+8, len(libs))
+		}
+		// Busy series must fall monotonically with P on every platform.
+		for _, s := range []int{0, 2} {
+			if !libs[s].Monotone() {
+				t.Errorf("Fig%d: library busy series %q not monotone", n+8, libs[s].Name)
+			}
 		}
 	}
 }

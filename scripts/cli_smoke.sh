@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CLI smoke: drives the flag binding of jetsim and the job decoding of
-# jetsimd end to end (cmd/ has no unit tests). Run from the repo root.
+# CLI smoke: drives the flag binding of jetsim, platforms and figures
+# and the job decoding of jetsimd end to end (cmd/ has no unit tests).
+# Run from the repo root.
 set -euo pipefail
 
 # Flags reach the run description: an explicit 2x1 rank grid, exact halos.
@@ -38,4 +39,23 @@ distinct() { grep -o "\"$1\": \"[0-9a-f]*\"" <<<"$out" | sort -u | wc -l; }
 [ "$(grep -c '"cached": true' <<<"$out")" -eq 1 ] || { echo "cli smoke: alias spelling missed the cache" >&2; exit 1; }
 [ "$(distinct key)" -eq 1 ] || { echo "cli smoke: alias spellings got different keys" >&2; exit 1; }
 [ "$(distinct momentum_sha256)" -eq 1 ] || { echo "cli smoke: cached field differs from the cold run" >&2; exit 1; }
+# platforms measures the same workload on this host next to the
+# co-simulated 1995 platforms.
+out=$(go run ./cmd/platforms -backend mp2d:v6 -procs 2 -nx 32 -nr 16 -steps 4 -chart=false)
+echo "$out"
+grep -q 'host mp2d:v6 (measured)' <<<"$out" ||
+	{ echo "cli smoke: platforms printed no measured host column" >&2; exit 1; }
+
+# A -procs no selected platform can run is an error, not an empty table.
+if go run ./cmd/platforms -platform "Cray Y-MP" -procs 16 -chart=false; then
+	echo "cli smoke: platforms accepted -procs above the Y-MP maximum" >&2
+	exit 1
+fi
+
+# figures runs a named experiment and rejects an unknown one.
+go run ./cmd/figures -exp table2
+if go run ./cmd/figures -exp nope; then
+	echo "cli smoke: figures accepted an unknown -exp" >&2
+	exit 1
+fi
 echo "cli smoke: ok"
