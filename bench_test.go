@@ -223,11 +223,13 @@ func BenchmarkSolverStepLarge(b *testing.B) {
 		if testing.Short() {
 			b.Skip("large grid")
 		}
-		s, err := shm.NewSolver(jet.Paper(), grid.MustNew(2000, 1000, 50, 5), runtime.NumCPU())
+		s, err := solver.NewSerial(jet.Paper(), grid.MustNew(2000, 1000, 50, 5))
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer s.Close()
+		p := shm.NewPool(runtime.NumCPU())
+		defer p.Close()
+		s.Pool = p
 		steady(b, 2000*1000, s.Advance)
 	})
 }

@@ -54,8 +54,8 @@ func parityOptions(name string, g *grid.Grid) []Options {
 		// The parity grid is 64x26: px=3 leaves columns 22+21+21 and
 		// pr=3 leaves rows 9+9+8, so both directions cover the
 		// remainder-block paths; 4x3 = 12 ranks exceeds anything the
-		// width sweep reaches. mp2d:v6 runs the identical sweep through
-		// the overlapped operators.
+		// width sweep reaches. mp2d:v6 runs the identical sweep with
+		// the Version-6 cores computed between Start and Finish.
 		for _, sh := range [][2]int{{2, 2}, {3, 2}, {2, 3}, {1, 4}, {4, 1}, {3, 3}, {4, 3}} {
 			opts = append(opts, Options{Px: sh[0], Pr: sh[1], Policy: solver.Fresh})
 		}
@@ -476,29 +476,66 @@ func TestWeightedRunShiftsWork(t *testing.T) {
 
 // TestMp2dV6Overlaps: the overlapped 2-D backend must keep the exact
 // Version-5 message budget (overlap changes when the halves run, not
-// what they carry) while reporting the same shape/direction split.
+// what they carry), report the same shape/direction split, and compute
+// the same fields bitwise — on the viscous jet, the Euler jet (no
+// predicted-prims exchange) and the cavity (wall columns), on an axial
+// and a 2-D rank grid. Under Lagged no serial reference exists, so this
+// is the only pin of the overlapped schedule there.
 func TestMp2dV6Overlaps(t *testing.T) {
-	g := grid.MustNew(64, 26, 50, 5)
-	o := Options{Px: 2, Pr: 2, Policy: solver.Fresh}
+	cavity, err := scenario.Get("cavity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cavityGrid, err := cavity.Grid(64, 26)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jetGrid := grid.MustNew(64, 26, 50, 5)
+	cases := []struct {
+		name     string
+		cfg      jet.Config
+		g        *grid.Grid
+		scenario string
+	}{
+		{"ns", jet.Paper(), jetGrid, ""},
+		{"euler", jet.Euler(), jetGrid, ""},
+		{"cavity", cavity.Config(jet.Paper()), cavityGrid, "cavity"},
+	}
 	b5, _ := Get("mp2d")
 	b6, _ := Get("mp2d:v6")
-	r5, err := b5.Run(jet.Paper(), g, o, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r6, err := b6.Run(jet.Paper(), g, o, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r6.Comm.Startups != r5.Comm.Startups || r6.Comm.Bytes != r5.Comm.Bytes {
-		t.Errorf("v6 budget %+v != v5 budget %+v", r6.Comm, r5.Comm)
-	}
-	if r6.CommDir.Radial.Startups != r5.CommDir.Radial.Startups {
-		t.Errorf("v6 radial startups %d != v5 %d",
-			r6.CommDir.Radial.Startups, r5.CommDir.Radial.Startups)
-	}
-	if r6.Px != 2 || r6.Pr != 2 {
-		t.Errorf("v6 shape %dx%d, want 2x2", r6.Px, r6.Pr)
+	for _, c := range cases {
+		for _, sh := range [][2]int{{3, 1}, {2, 2}} {
+			for _, pol := range []solver.HaloPolicy{solver.Lagged, solver.Fresh} {
+				name := fmt.Sprintf("%s/%dx%d/%s", c.name, sh[0], sh[1], pol)
+				t.Run(name, func(t *testing.T) {
+					o := Options{Scenario: c.scenario, Px: sh[0], Pr: sh[1], Policy: pol}
+					r5, err := b5.Run(c.cfg, c.g, o, 4)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r6, err := b6.Run(c.cfg, c.g, o, 4)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if r6.Comm.Startups != r5.Comm.Startups || r6.Comm.Bytes != r5.Comm.Bytes {
+						t.Errorf("v6 budget %+v != v5 budget %+v", r6.Comm, r5.Comm)
+					}
+					if r6.CommDir.Radial.Startups != r5.CommDir.Radial.Startups {
+						t.Errorf("v6 radial startups %d != v5 %d",
+							r6.CommDir.Radial.Startups, r5.CommDir.Radial.Startups)
+					}
+					if r6.Px != sh[0] || r6.Pr != sh[1] {
+						t.Errorf("v6 shape %dx%d, want %dx%d", r6.Px, r6.Pr, sh[0], sh[1])
+					}
+					for k := range r5.Fields {
+						if !r5.Fields[k].Equal(r6.Fields[k]) {
+							t.Errorf("component %d: v6 differs from v5 (max %g)",
+								k, r6.Fields[k].MaxAbsDiff(r5.Fields[k]))
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -214,8 +214,8 @@ func FuzzWideHalo(f *testing.F) {
 	f.Add(24, 14, 4, 2, 2, true) // 2x2 rank grid
 	f.Add(27, 15, 3, 2, 3, true) // 3x1 or 1x3 auto shape, odd spans
 	f.Fuzz(func(t *testing.T, nx, nr, procs, depth, steps int, twoD bool) {
-		nx = 12 + abs(nx)%37   // 12..48
-		nr = 8 + abs(nr)%17    // 8..24
+		nx = 12 + abs(nx)%37 // 12..48
+		nr = 8 + abs(nr)%17  // 8..24
 		procs = 1 + abs(procs)%4
 		depth = 1 + abs(depth)%5
 		steps = 1 + abs(steps)%4

@@ -43,8 +43,8 @@ type Inflow struct {
 	prof Source
 	gm   gas.Model
 
-	prim  []gas.Primitive        // scratch primitive column
-	col   [flux.NVar][]float64   // memoized conserved column
+	prim  []gas.Primitive      // scratch primitive column
+	col   [flux.NVar][]float64 // memoized conserved column
 	lastT float64
 	valid bool
 }

@@ -50,9 +50,9 @@ func stressColRowsX(mu, kc, hx, hr float64, r []float64, w *State, st *stressTil
 		return
 	}
 	n := j1 - j0
-	uw, ue := w[IMx].Col(i-1)[j0:j0+n], w[IMx].Col(i+1)[j0:j0+n]
-	vw, ve := w[IMr].Col(i-1)[j0:j0+n], w[IMr].Col(i+1)[j0:j0+n]
-	tw, te := w[IE].Col(i-1)[j0:j0+n], w[IE].Col(i+1)[j0:j0+n]
+	uw, ue := w[IMx].Col(i - 1)[j0:j0+n], w[IMx].Col(i + 1)[j0:j0+n]
+	vw, ve := w[IMr].Col(i - 1)[j0:j0+n], w[IMr].Col(i + 1)[j0:j0+n]
+	tw, te := w[IE].Col(i - 1)[j0:j0+n], w[IE].Col(i + 1)[j0:j0+n]
 	txx, txr, qx := st.txx[:n], st.txr[:n], st.qx[:n]
 	rv := r[j0 : j0+n]
 	// One equal-length window per radial stencil offset: index o of the
@@ -87,8 +87,8 @@ func stressColRowsR(mu, kc, hx, hr float64, r []float64, w *State, st *stressTil
 		return
 	}
 	n := j1 - j0
-	uw, ue := w[IMx].Col(i-1)[j0:j0+n], w[IMx].Col(i+1)[j0:j0+n]
-	vw, ve := w[IMr].Col(i-1)[j0:j0+n], w[IMr].Col(i+1)[j0:j0+n]
+	uw, ue := w[IMx].Col(i - 1)[j0:j0+n], w[IMx].Col(i + 1)[j0:j0+n]
+	vw, ve := w[IMr].Col(i - 1)[j0:j0+n], w[IMr].Col(i + 1)[j0:j0+n]
 	trr, tqq := st.trr[:n], st.tqq[:n]
 	txr, qr := st.txr[:n], st.qr[:n]
 	rv := r[j0 : j0+n]

@@ -21,9 +21,9 @@ type Grid struct {
 	// equations uniformly small, which planar scenarios (the lid-driven
 	// cavity) use to recover Cartesian dynamics to O(Lr/R0) without any
 	// kernel changes (see grid.NewOffset).
-	R0     float64
-	X      []float64
-	R      []float64
+	R0 float64
+	X  []float64
+	R  []float64
 }
 
 // New builds a grid with nx axial nodes spanning [0, lx] and nr radial

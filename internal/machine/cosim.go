@@ -140,8 +140,8 @@ func newCosim(p Platform, ch trace.Characterization, d *decomp.Decomposition, co
 		exCompute := computeSec
 		if commVersion == 6 {
 			// The split-loop penalty applies to exchange steps only — the
-			// solver runs the overlapped operators only when an exchange
-			// is actually in flight.
+			// solver computes a Version-6 core only when an exchange is
+			// actually in flight.
 			exCompute *= v6BusyPenalty
 		}
 		var prog []op

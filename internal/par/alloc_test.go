@@ -200,8 +200,8 @@ func TestAllreduceSteadyStateAllocs(t *testing.T) {
 
 // TestOverlappedExchangeSteadyStateAllocs covers the Version-6 schedule
 // on a 2-D block: both directions' sends initiated up front, receives
-// completed later — the split the overlapped operators interleave with
-// the interior core. The staging buffers and the message free list must
+// completed later — the split the Version-6 schedule computes the
+// interior core in. The staging buffers and the message free list must
 // keep this path at zero allocations in steady state, exactly like the
 // back-to-back exchange.
 func TestOverlappedExchangeSteadyStateAllocs(t *testing.T) {

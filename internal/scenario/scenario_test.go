@@ -107,7 +107,7 @@ func newSerial(t *testing.T, name string, nx, nr int) (*solver.Serial, jet.Confi
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := solver.NewSerialProblem(cfg, prob, g)
+	s, err := solver.NewSerialProblemCFL(cfg, prob, g, solver.DefaultCFL)
 	if err != nil {
 		t.Fatal(err)
 	}

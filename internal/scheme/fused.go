@@ -75,15 +75,6 @@ func correctXCol(v Variant, lam float64, q, qp, fp, qn *flux.State, i int) {
 	}
 }
 
-// CorrectXFast is CorrectX restructured column-outer so each column's
-// four components are updated in one cache pass. Bitwise-identical to
-// CorrectX.
-func CorrectXFast(v Variant, lam float64, q, qp, fp, qn *flux.State, c0, c1 int) {
-	for i := c0; i < c1; i++ {
-		correctXCol(v, lam, q, qp, fp, qn, i)
-	}
-}
-
 // CorrectXPrims applies the corrector stage of the axial operator over
 // columns [c0, c1) and, in the same sweep, recovers the primitives of
 // the corrected state into w while each column is still cache-resident.
@@ -91,7 +82,7 @@ func CorrectXFast(v Variant, lam float64, q, qp, fp, qn *flux.State, c0, c1 int)
 // the columns a boundary condition rewrites afterwards (and the outflow
 // column, whose condition still reads the pre-operator primitives), and
 // recompute those columns once the boundary has been applied.
-// Equivalent to CorrectXFast followed by flux.Primitives on [wp0, wp1).
+// Equivalent to CorrectX followed by flux.Primitives on [wp0, wp1).
 func CorrectXPrims(v Variant, lam float64, gm gas.Model, q, qp, fp, qn, w *flux.State, c0, c1, wp0, wp1 int) {
 	for i := c0; i < c1; i++ {
 		correctXCol(v, lam, q, qp, fp, qn, i)
@@ -141,38 +132,21 @@ func predictRCol(v Variant, lam, dt float64, rinv []float64, q, rg, qp *flux.Sta
 	}
 }
 
-// PredictRRowsFast is PredictRRows over ColGhost windows; same
-// signature, bitwise-identical results.
-func PredictRRowsFast(v Variant, lam, dt float64, rinv []float64, q, rg, qp *flux.State, src *field.Field, c0, c1, j0, j1 int) {
+// PredictRRowsPrims applies the radial predictor over columns [c0, c1),
+// rows [j0, j1), and recovers the primitives of the predicted state on
+// the same rows in the same column sweep. Equivalent to PredictRRows
+// followed by flux.PrimitivesRect on that sub-rectangle; the
+// inflow-column caveat of PredictXPrims applies.
+func PredictRRowsPrims(v Variant, lam, dt float64, gm gas.Model, rinv []float64, q, rg, qp, wp *flux.State, src *field.Field, c0, c1, j0, j1 int) {
 	for i := c0; i < c1; i++ {
 		predictRCol(v, lam, dt, rinv, q, rg, qp, src, i, j0, j1)
+		flux.PrimitivesRect(gm, qp, wp, i, i+1, j0, j1)
 	}
 }
 
-// PredictRPrims applies the radial predictor over columns [c0, c1),
-// full rows, and recovers the primitives of the predicted state in the
-// same column sweep. Equivalent to PredictR followed by
-// flux.Primitives on [c0, c1); the inflow-column caveat of
-// PredictXPrims applies.
+// PredictRPrims is PredictRRowsPrims over full rows.
 func PredictRPrims(v Variant, lam, dt float64, gm gas.Model, rinv []float64, q, rg, qp, wp *flux.State, src *field.Field, c0, c1 int) {
-	nr := q[0].Nr
-	for i := c0; i < c1; i++ {
-		predictRCol(v, lam, dt, rinv, q, rg, qp, src, i, 0, nr)
-		flux.Primitives(gm, qp, wp, i, i+1)
-	}
-}
-
-// CorrectRRowsFast is CorrectRRows over ColGhost windows; same
-// signature, bitwise-identical results.
-func CorrectRRowsFast(v Variant, lam, dt float64, rinv []float64, q, qp, rgp, qn *flux.State, srcp *field.Field, c0, c1, j0, j1 int) {
-	if j0 < 0 || j1 <= j0 {
-		return
-	}
-	n := j1 - j0
-	b := j0 + field.Halo
-	for i := c0; i < c1; i++ {
-		correctRCol(v, lam, dt, rinv, q, qp, rgp, qn, srcp, i, j0, n, b)
-	}
+	PredictRRowsPrims(v, lam, dt, gm, rinv, q, rg, qp, wp, src, c0, c1, 0, q[0].Nr)
 }
 
 // CorrectRRowsPrims applies the radial corrector over columns [c0, c1),
@@ -182,7 +156,7 @@ func CorrectRRowsFast(v Variant, lam, dt float64, rinv []float64, q, qp, rgp, qn
 // far-field row their boundary conditions rewrite (the far-field update
 // also reads the pre-operator primitives of the top row) and recompute
 // those after the boundary has been applied. Equivalent to
-// CorrectRRowsFast followed by flux.PrimitivesRect on that sub-rectangle.
+// CorrectRRows followed by flux.PrimitivesRect on that sub-rectangle.
 func CorrectRRowsPrims(v Variant, lam, dt float64, gm gas.Model, rinv []float64, q, qp, rgp, qn, w *flux.State, srcp *field.Field, c0, c1, j0, j1, wp0, wj1 int) {
 	if j0 < 0 || j1 <= j0 {
 		return

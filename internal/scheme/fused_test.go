@@ -39,10 +39,10 @@ func statesEqual(t *testing.T, name string, seed int64, a, b *flux.State) {
 	}
 }
 
-// TestFusedSchemeEquivalence pins the fast MacCormack stage kernels to
-// the reference scalar kernels bitwise on random sub-rectangles (both
-// variants, boundary-adjacent rows included) and checks the fused
-// predictor+primitives sweeps against the two-pass reference sequence.
+// TestFusedSchemeEquivalence pins the fused MacCormack stage kernels to
+// the reference scalar kernels followed by the primitive recovery,
+// bitwise, on random sub-rectangles (both variants, boundary-adjacent
+// rows included), with and without a primitive range.
 func TestFusedSchemeEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed + 1000))
@@ -83,15 +83,19 @@ func TestFusedSchemeEquivalence(t *testing.T) {
 		statesEqual(t, "PredictXPrims qp", seed, qpRef, qpFast)
 		statesEqual(t, "PredictXPrims wp", seed, wpRef, wpFast)
 
-		// Axial corrector.
+		// Axial corrector alone: the fused kernel with an empty
+		// primitive range (wp0 == wp1).
 		CorrectX(v, lam, q, qpRef, f, qnRef, c0, c1)
-		CorrectXFast(v, lam, q, qpRef, f, qnFast, c0, c1)
-		statesEqual(t, "CorrectXFast", seed, qnRef, qnFast)
+		CorrectXPrims(v, lam, gm, q, qpRef, f, qnFast, wpFast, c0, c1, c0, c0)
+		statesEqual(t, "CorrectXPrims (no prims)", seed, qnRef, qnFast)
 
-		// Radial predictor on the sub-rectangle, then fused with prims.
+		// Radial predictor fused with prims on the sub-rectangle, then
+		// on full rows.
 		PredictRRows(v, lam, dt, rinv, q, f, qpRef, src, c0, c1, j0, j1)
-		PredictRRowsFast(v, lam, dt, rinv, q, f, qpFast, src, c0, c1, j0, j1)
-		statesEqual(t, "PredictRRowsFast", seed, qpRef, qpFast)
+		flux.PrimitivesRect(gm, qpRef, wpRef, c0, c1, j0, j1)
+		PredictRRowsPrims(v, lam, dt, gm, rinv, q, f, qpFast, wpFast, src, c0, c1, j0, j1)
+		statesEqual(t, "PredictRRowsPrims qp", seed, qpRef, qpFast)
+		statesEqual(t, "PredictRRowsPrims wp", seed, wpRef, wpFast)
 
 		PredictR(v, lam, dt, rinv, q, f, qpRef, src, c0, c1)
 		flux.Primitives(gm, qpRef, wpRef, c0, c1)
@@ -99,10 +103,11 @@ func TestFusedSchemeEquivalence(t *testing.T) {
 		statesEqual(t, "PredictRPrims qp", seed, qpRef, qpFast)
 		statesEqual(t, "PredictRPrims wp", seed, wpRef, wpFast)
 
-		// Radial corrector on the sub-rectangle.
+		// Radial corrector alone on the sub-rectangle (wj1 = 0: no
+		// primitive rows).
 		CorrectRRows(v, lam, dt, rinv, q, qpRef, f, qnRef, src, c0, c1, j0, j1)
-		CorrectRRowsFast(v, lam, dt, rinv, q, qpRef, f, qnFast, src, c0, c1, j0, j1)
-		statesEqual(t, "CorrectRRowsFast", seed, qnRef, qnFast)
+		CorrectRRowsPrims(v, lam, dt, gm, rinv, q, qpRef, f, qnFast, wpFast, src, c0, c1, j0, j1, c0, 0)
+		statesEqual(t, "CorrectRRowsPrims (no prims)", seed, qnRef, qnFast)
 
 		// Correctors fused with primitive recovery on a sub-range of the
 		// written region (the boundary-skip shape the solver uses).

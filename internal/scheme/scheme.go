@@ -133,15 +133,10 @@ func PredictRRows(v Variant, lam, dt float64, rinv []float64, q, rg, qp *flux.St
 	}
 }
 
-// CorrectR applies the corrector stage of the radial operator over
-// columns [c0, c1) with the bias opposite to the predictor's. srcp is
-// the source term evaluated from the predicted state.
-func CorrectR(v Variant, lam, dt float64, rinv []float64, q, qp, rgp, qn *flux.State, srcp *field.Field, c0, c1 int) {
-	CorrectRRows(v, lam, dt, rinv, q, qp, rgp, qn, srcp, c0, c1, 0, q[0].Nr)
-}
-
-// CorrectRRows is CorrectR restricted to rows [j0, j1). rgp must be
-// valid on rows [j0-2, j1+2).
+// CorrectRRows applies the corrector stage of the radial operator over
+// columns [c0, c1), rows [j0, j1), with the bias opposite to the
+// predictor's. srcp is the source term evaluated from the predicted
+// state; rgp must be valid on rows [j0-2, j1+2).
 func CorrectRRows(v Variant, lam, dt float64, rinv []float64, q, qp, rgp, qn *flux.State, srcp *field.Field, c0, c1, j0, j1 int) {
 	for k := 0; k < flux.NVar; k++ {
 		g := rgp[k]

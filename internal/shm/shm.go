@@ -14,10 +14,6 @@ package shm
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/grid"
-	"repro/internal/jet"
-	"repro/internal/solver"
 )
 
 // Pool is a fixed set of workers executing fork-join range splits.
@@ -95,45 +91,3 @@ func (p *Pool) Close() {
 		close(p.tasks)
 	}
 }
-
-// Solver is the serial reference solver with DOALL loop parallelism —
-// the paper's Y-MP configuration.
-type Solver struct {
-	*solver.Slab
-	pool *Pool
-}
-
-// NewSolver builds a shared-memory solver with n workers.
-func NewSolver(cfg jet.Config, g *grid.Grid, n int) (*Solver, error) {
-	return NewSolverProblem(cfg, nil, g, n)
-}
-
-// NewSolverProblem builds a shared-memory solver for a scenario problem
-// with n workers; nil prob is the built-in jet.
-func NewSolverProblem(cfg jet.Config, prob *solver.Problem, g *grid.Grid, n int) (*Solver, error) {
-	ser, err := solver.NewSerialProblem(cfg, prob, g)
-	if err != nil {
-		return nil, err
-	}
-	p := NewPool(n)
-	ser.Pool = p
-	return &Solver{Slab: ser.Slab, pool: p}, nil
-}
-
-// Run advances n composite steps.
-func (s *Solver) Run(n int) {
-	for i := 0; i < n; i++ {
-		s.Advance()
-	}
-}
-
-// RunControlled advances up to n composite steps under residual-driven
-// convergence control. The single slab spans the domain (the DOALL
-// pool splits loops, not ownership), so its partial sums are already
-// global and no cross-rank reduction is needed.
-func (s *Solver) RunControlled(n int, ctl solver.Control) solver.ConvergedRun {
-	return s.Slab.RunControlled(n, ctl, nil)
-}
-
-// Close releases the worker pool.
-func (s *Solver) Close() { s.pool.Close() }

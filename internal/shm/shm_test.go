@@ -40,6 +40,21 @@ func TestPoolSplitEmptyRange(t *testing.T) {
 	}
 }
 
+// pooled builds the serial solver with its column loops on an n-worker
+// pool, closed when the test ends — the shm backend's configuration,
+// the paper's Y-MP DOALL.
+func pooled(t *testing.T, cfg jet.Config, g *grid.Grid, n int) *solver.Serial {
+	t.Helper()
+	s, err := solver.NewSerial(cfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(n)
+	t.Cleanup(p.Close)
+	s.Pool = p
+	return s
+}
+
 // The DOALL solver must reproduce the serial arithmetic bitwise: every
 // parallel region is a fork-join over independent columns.
 func TestSharedMemoryMatchesSerialBitwise(t *testing.T) {
@@ -51,10 +66,7 @@ func TestSharedMemoryMatchesSerialBitwise(t *testing.T) {
 		}
 		ref.Run(6)
 		for _, workers := range []int{1, 2, 4, 7} {
-			s, err := NewSolver(cfg, g, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := pooled(t, cfg, g, workers)
 			s.Run(6)
 			for k := 0; k < flux.NVar; k++ {
 				if !s.Q[k].Equal(ref.Q[k]) {
@@ -62,7 +74,6 @@ func TestSharedMemoryMatchesSerialBitwise(t *testing.T) {
 						cfg.Viscous, workers, k, s.Q[k].MaxAbsDiff(ref.Q[k]))
 				}
 			}
-			s.Close()
 		}
 	}
 }
@@ -74,11 +85,7 @@ func TestSharedMemorySpeedupSmoke(t *testing.T) {
 	// Not a strict perf assertion (CI noise); just verify a larger run
 	// completes and stays stable with many workers.
 	g := grid.MustNew(128, 64, 50, 5)
-	s, err := NewSolver(jet.Paper(), g, runtime.NumCPU())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := pooled(t, jet.Paper(), g, runtime.NumCPU())
 	s.Run(20)
 	if d := s.Diagnose(); d.HasNaN {
 		t.Fatal("NaN in shared-memory run")
@@ -90,11 +97,7 @@ func TestSharedMemorySpeedupSmoke(t *testing.T) {
 // warm, fork-joining every kernel across persistent workers allocates
 // nothing per composite step.
 func TestAdvanceSteadyStateAllocs(t *testing.T) {
-	s, err := NewSolver(jet.Paper(), grid.MustNew(64, 32, 50, 5), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := pooled(t, jet.Paper(), grid.MustNew(64, 32, 50, 5), 4)
 	s.Advance() // warm: inflow memoization for the first time level
 	if allocs := testing.AllocsPerRun(20, s.Advance); allocs != 0 {
 		t.Errorf("steady-state pooled Advance allocates %.1f times, want 0", allocs)

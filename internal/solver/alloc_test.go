@@ -47,7 +47,7 @@ func TestAdvanceSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := solver.NewSerialProblem(cfg, prob, g)
+			s, err := solver.NewSerialProblemCFL(cfg, prob, g, solver.DefaultCFL)
 			if err != nil {
 				t.Fatal(err)
 			}

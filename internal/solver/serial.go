@@ -11,29 +11,19 @@ type Serial struct {
 	*Slab
 }
 
-// NewSerial builds the serial solver with the default CFL number.
+// NewSerial builds the serial solver for the built-in jet with the
+// default CFL number.
 func NewSerial(cfg jet.Config, g *grid.Grid) (*Serial, error) {
-	return NewSerialCFL(cfg, g, DefaultCFL)
+	return NewSerialProblemCFL(cfg, nil, g, DefaultCFL)
 }
 
 // DefaultCFL is the Courant number used throughout; the 2-4 MacCormack
 // scheme is stable to about 2/3 in one dimension.
 const DefaultCFL = 0.4
 
-// NewSerialCFL builds the serial solver with an explicit CFL number.
-func NewSerialCFL(cfg jet.Config, g *grid.Grid, cfl float64) (*Serial, error) {
-	return NewSerialProblemCFL(cfg, nil, g, cfl)
-}
-
-// NewSerialProblem builds the serial solver for a scenario problem with
-// the default CFL number; nil prob is the built-in jet.
-func NewSerialProblem(cfg jet.Config, prob *Problem, g *grid.Grid) (*Serial, error) {
-	return NewSerialProblemCFL(cfg, prob, g, DefaultCFL)
-}
-
 // NewSerialProblemCFL builds the serial solver for a scenario problem
-// with an explicit CFL number. The slab spans the domain: every side is
-// physical, so it has no halo.
+// (nil prob is the built-in jet) with an explicit CFL number. The slab
+// spans the domain: every side is physical, so it has no halo.
 func NewSerialProblemCFL(cfg jet.Config, prob *Problem, g *grid.Grid, cfl float64) (*Serial, error) {
 	s, err := NewSlabProblem(cfg, prob, g, cfg.Gas(), 0, g.Nx, 0, g.Nr, nil, Fresh)
 	if err != nil {

@@ -9,6 +9,12 @@
 //
 //	Q^{n+1} = L1x L1r Q^n        (radial sweep first)
 //	Q^{n+2} = L2r L2x Q^{n+1}    (axial sweep first)
+//
+// Each sweep is a predictor and a corrector stage, and every stage runs
+// one schedule (see stage): start its halo exchanges, compute the core,
+// finish the exchanges, compute the frame. The core — the points that
+// read no ghost still in flight — is where the paper's Version 6 hides
+// communication; Version 5 is the same schedule with an empty core.
 package solver
 
 import (
@@ -208,11 +214,11 @@ type Slab struct {
 	// physical sides itself (see edges).
 	Halo   Halo
 	Policy HaloPolicy
-	// Overlap enables the paper's Version 6 in both sweeps: interior
-	// stress/flux/update loops run while halo messages are in flight, at
-	// the cost of split loops (higher setup overhead, reduced temporal
-	// locality). Defined for any sub-rectangle slab — 2-D blocks overlap
-	// the axial and the radial exchanges alike (see overlap.go).
+	// Overlap selects the paper's Version 6: each stage computes its
+	// core — the points that read no ghost still in flight — between
+	// the halo's Start and Finish, at the cost of split loops (higher
+	// setup overhead, reduced temporal locality). Without it the core is
+	// empty and every point waits for Finish: Version 5 (see stage).
 	Overlap bool
 	// Pool, when non-nil, parallelizes each column loop across workers —
 	// the shared-memory DOALL model the paper used on the Cray Y-MP.
@@ -248,66 +254,107 @@ type Slab struct {
 	fnPrims         func(lo, hi int)
 	fnStressFluxX   func(lo, hi int)
 	fnPredictXPrims func(lo, hi int)
-	fnPredictX      func(lo, hi int)
-	fnCorrectX      func(lo, hi int)
+	fnCorrectXPrims func(lo, hi int)
 	fnStressFluxR   func(lo, hi int)
 	fnPredictRPrims func(lo, hi int)
-	fnPredictRRows  func(lo, hi int)
-	fnPredictREdges func(lo, hi int)
-	fnCorrectRRows  func(lo, hi int)
-	fnCorrectREdges func(lo, hi int)
-
-	fnCorrectXPrims     func(lo, hi int)
-	fnCorrectRRowsPrims func(lo, hi int)
+	fnCorrectRPrims func(lo, hi int)
 
 	// wReady records that W already holds the primitives of Q on every
 	// interior point — established by the fused corrector+primitives
 	// sweep (plus its boundary fixups) of the previous operator, so the
-	// next operator's full stage-A primitive pass can be skipped. The
-	// overlapped operators do not fuse (their correctors are split into
-	// core and frame fork-joins) and leave it false.
+	// next operator's full stage-A primitive pass can be skipped.
 	wReady bool
 
 	// exch records whether the current composite step exchanges with
 	// interior neighbours (true on every step under Lagged/Fresh; every
-	// Depth()-th step under Wide). Set by Advance, consumed by fill.
+	// Depth()-th step under Wide). Set by Advance, consumed by start.
 	exch bool
 }
 
-// fill fills one stage's ghosts of b in direction d: an exchange on
-// exchange steps, a skip on the exchange-free steps of a Wide policy
-// (the interior ghosts then hold decaying shell data, which the
-// redundant shell keeps away from the core), and the physical sides
-// either way.
-func (s *Slab) fill(d Dir, k Kind, b *flux.State) {
-	if !s.exch {
+// start begins one fill of b's ghosts in direction d and reports
+// whether messages are in flight, in which case Halo.Finish completes
+// the fill. An exchange step sends the interior strips; an
+// exchange-free step of a Wide policy skips them (the interior ghosts
+// then hold decaying shell data, which the redundant shell keeps away
+// from the core); a cross fill — the other direction's ghosts a sweep's
+// viscous cross-derivatives read — under Lagged keeps the newest
+// already-exchanged (lagged) interior ghosts. The physical sides are
+// filled at once either way: local work reading owned points only.
+func (s *Slab) start(d Dir, k Kind, b *flux.State, cross bool) bool {
+	live := s.exch && !(cross && s.Policy == Lagged)
+	switch {
+	case live:
+		s.Halo.Start(d, k, b)
+	case !s.exch:
 		s.Halo.Skip(d, k)
-		s.edges(d, k, b)
-		return
 	}
-	s.startFill(d, k, b)
-	s.Halo.Finish(d, k, b)
-}
-
-// crossFill fills the ghosts a sweep's viscous cross-derivatives read in
-// the other direction d: as fill, except under Lagged, where the
-// interior ghosts keep the newest already-exchanged (lagged) contents
-// and only the physical sides are recomputed.
-func (s *Slab) crossFill(d Dir, k Kind, b *flux.State) {
-	if s.Policy == Lagged {
-		s.edges(d, k, b)
-		return
-	}
-	s.fill(d, k, b)
-}
-
-// startFill begins a fill: the interior sends go out, then the physical
-// sides — local work, reading owned points only — are filled while the
-// messages travel; Halo.Finish completes the fill. The Version-6
-// operators run interior computation before that Finish too.
-func (s *Slab) startFill(d Dir, k Kind, b *flux.State) {
-	s.Halo.Start(d, k, b)
 	s.edges(d, k, b)
+	return live
+}
+
+// stage runs one kernel region fn on the schedule Versions 5 and 6
+// share: start the fills of b in the sweep direction d (and, when
+// cross, in the other direction), compute the core, finish the fills,
+// compute the frame. Fills run axial first, then radial. w is how far
+// fn's stencil reaches. Version 5 has the empty core, so every point
+// waits for Finish; either way each point reads the same ghosts, so the
+// two versions are bitwise identical.
+func (s *Slab) stage(d Dir, k Kind, b *flux.State, cross bool, w int, fn func(lo, hi int)) {
+	var fly [2]bool // directions with messages in flight
+	for e := Axial; e <= Radial; e++ {
+		if e == d || cross {
+			fly[e] = s.start(e, k, b, e != d)
+		}
+	}
+	c0, c1, j0, j1 := s.core(w, fly[Axial], fly[Radial])
+	s.ctx.j0, s.ctx.j1 = j0, j1
+	s.pfor(c0, c1, fn)
+	for e := Axial; e <= Radial; e++ {
+		if fly[e] {
+			s.Halo.Finish(e, k, b)
+		}
+	}
+	s.frame(c0, c1, j0, j1, fn)
+}
+
+// core returns the columns [c0, c1) by rows [j0, j1) of a stage whose
+// stencil reaches w points out that read no ghost still in flight, ax
+// and rad telling which directions have messages out. Only Version 6
+// on an exchange step has a non-empty core; Version 5 returns the empty
+// one (0, 0, 0, NrLoc), which makes the frame the whole slab.
+func (s *Slab) core(w int, ax, rad bool) (c0, c1, j0, j1 int) {
+	n, nr := s.NxLoc, s.NrLoc
+	if !s.Overlap || !s.exch {
+		return 0, 0, 0, nr
+	}
+	c0, c1, j0, j1 = 0, n, 0, nr
+	if ax && !(s.Left && s.Right) {
+		c0, c1 = w, n-w
+	}
+	if rad && !(s.Bottom && s.Top) {
+		j0, j1 = w, nr-w
+	}
+	return c0, c1, j0, j1
+}
+
+// frame computes fn outside the core [c0, c1)×[j0, j1): the edge
+// columns at full height, then the bottom and the top edge rows of the
+// core columns, in that order (the fused radial corrector recovers a
+// column's primitives in the region that reaches its top row, so that
+// region must come last).
+func (s *Slab) frame(c0, c1, j0, j1 int, fn func(lo, hi int)) {
+	c, nr := &s.ctx, s.NrLoc
+	c.j0, c.j1 = 0, nr
+	s.pfor(0, c0, fn)
+	s.pfor(c1, s.NxLoc, fn)
+	if j0 > 0 {
+		c.j0, c.j1 = 0, j0
+		s.pfor(c0, c1, fn)
+	}
+	if j1 < nr {
+		c.j0, c.j1 = j1, nr
+		s.pfor(c0, c1, fn)
+	}
 }
 
 // edges applies the physical boundary treatment to the ghosts of the
@@ -358,8 +405,8 @@ func (s *Slab) edges(d Dir, k Kind, b *flux.State) {
 // stageCtx parameterizes the prebuilt loop bodies of a Slab. q/w/f/src
 // select the bundle triple a stage operates on (current state in the
 // predictor, predicted state in the corrector); j0/j1 restrict the
-// fused stress/flux kernels and the radial scheme kernels to a row
-// range (the Version-6 overlap's core/frame split).
+// stress/flux kernels and the radial scheme kernels to a row range
+// (a core or frame region, see stage).
 type stageCtx struct {
 	v      scheme.Variant
 	lam    float64
@@ -383,30 +430,14 @@ func (s *Slab) bindKernels() {
 	s.fnPredictXPrims = func(lo, hi int) {
 		scheme.PredictXPrims(c.v, c.lam, gm, s.Q, s.F, s.QP, s.WP, lo, hi)
 	}
-	s.fnPredictX = func(lo, hi int) { scheme.PredictX(c.v, c.lam, s.Q, s.F, s.QP, lo, hi) }
-	s.fnCorrectX = func(lo, hi int) { scheme.CorrectXFast(c.v, c.lam, s.Q, s.QP, s.FP, s.QN, lo, hi) }
 	s.fnStressFluxR = func(lo, hi int) {
 		flux.StressFluxRSource(gm, g.Dx, g.Dr, s.R, c.q, c.w, c.f, c.src, lo, hi, c.j0, c.j1, c.visc)
 	}
 	s.fnPredictRPrims = func(lo, hi int) {
-		scheme.PredictRPrims(c.v, c.lam, s.Dt, gm, s.RInv, s.Q, s.F, s.QP, s.WP, s.Src, lo, hi)
-	}
-	s.fnPredictRRows = func(lo, hi int) {
-		scheme.PredictRRowsFast(c.v, c.lam, s.Dt, s.RInv, s.Q, s.F, s.QP, s.Src, lo, hi, c.j0, c.j1)
-	}
-	s.fnPredictREdges = func(lo, hi int) {
-		scheme.PredictRRowsFast(c.v, c.lam, s.Dt, s.RInv, s.Q, s.F, s.QP, s.Src, lo, hi, 0, c.j0)
-		scheme.PredictRRowsFast(c.v, c.lam, s.Dt, s.RInv, s.Q, s.F, s.QP, s.Src, lo, hi, c.j1, s.NrLoc)
-	}
-	s.fnCorrectRRows = func(lo, hi int) {
-		scheme.CorrectRRowsFast(c.v, c.lam, s.Dt, s.RInv, s.Q, s.QP, s.FP, s.QN, s.SrcP, lo, hi, c.j0, c.j1)
-	}
-	s.fnCorrectREdges = func(lo, hi int) {
-		scheme.CorrectRRowsFast(c.v, c.lam, s.Dt, s.RInv, s.Q, s.QP, s.FP, s.QN, s.SrcP, lo, hi, 0, c.j0)
-		scheme.CorrectRRowsFast(c.v, c.lam, s.Dt, s.RInv, s.Q, s.QP, s.FP, s.QN, s.SrcP, lo, hi, c.j1, s.NrLoc)
+		scheme.PredictRRowsPrims(c.v, c.lam, s.Dt, gm, s.RInv, s.Q, s.F, s.QP, s.WP, s.Src, lo, hi, c.j0, c.j1)
 	}
 	// The fused corrector+primitives bodies additionally leave W holding
-	// the primitives of QN (the next operator's Q), skipping the columns
+	// the primitives of QN (the next operator's Q), skipping the points
 	// a boundary condition will rewrite — the operator fixes those up
 	// after applying the boundary (and OutflowX/FarFieldR still need the
 	// pre-operator primitives there, so they must not be clobbered).
@@ -420,35 +451,29 @@ func (s *Slab) bindKernels() {
 		}
 		scheme.CorrectXPrims(c.v, c.lam, gm, s.Q, s.QP, s.FP, s.QN, s.W, lo, hi, p0, p1)
 	}
-	s.fnCorrectRRowsPrims = func(lo, hi int) {
+	s.fnCorrectRPrims = func(lo, hi int) {
 		p0 := lo
 		if s.Left && p0 == 0 {
 			p0 = 1
 		}
-		jt := s.NrLoc
-		if s.Top && !s.topWall {
-			jt-- // FarFieldR reads the old top-row primitives, then rewrites QN there
+		// A column's primitives are recovered by the region that
+		// reaches its top row: the last one of the column (see frame).
+		jt := 0
+		if c.j1 == s.NrLoc {
+			jt = s.NrLoc
+			if s.Top && !s.topWall {
+				jt-- // FarFieldR reads the old top-row primitives, then rewrites QN there
+			}
 		}
 		scheme.CorrectRRowsPrims(c.v, c.lam, s.Dt, gm, s.RInv, s.Q, s.QP, s.FP, s.QN, s.W, s.SrcP, lo, hi, c.j0, c.j1, p0, jt)
 	}
 }
 
-// NewSlab builds a slab owning global columns [i0, i0+nxloc) of g,
-// spanning the full radial extent.
-func NewSlab(cfg jet.Config, g *grid.Grid, gm gas.Model, i0, nxloc int, halo Halo, policy HaloPolicy) (*Slab, error) {
-	return NewSlabRect(cfg, g, gm, i0, nxloc, 0, g.Nr, halo, policy)
-}
-
-// NewSlabRect builds a slab owning the sub-rectangle of global columns
-// [i0, i0+nxloc) by global rows [j0, j0+nrloc) of g. Sides that do not
+// NewSlabProblem builds a slab owning the sub-rectangle of global
+// columns [i0, i0+nxloc) by global rows [j0, j0+nrloc) of g for a
+// scenario problem; nil prob is the built-in jet. Sides that do not
 // coincide with the physical boundary are interior: their ghosts are
 // traded by the halo, which may be nil only when there are none.
-func NewSlabRect(cfg jet.Config, g *grid.Grid, gm gas.Model, i0, nxloc, j0, nrloc int, halo Halo, policy HaloPolicy) (*Slab, error) {
-	return NewSlabProblem(cfg, nil, g, gm, i0, nxloc, j0, nrloc, halo, policy)
-}
-
-// NewSlabProblem is NewSlabRect for an explicit scenario problem; nil
-// prob is the built-in jet.
 func NewSlabProblem(cfg jet.Config, prob *Problem, g *grid.Grid, gm gas.Model, i0, nxloc, j0, nrloc int, halo Halo, policy HaloPolicy) (*Slab, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -584,95 +609,81 @@ type ParallelFor interface {
 	Split(lo, hi int, fn func(lo, hi int))
 }
 
-// pfor dispatches a column loop to the pool, or runs it inline.
+// pfor dispatches a column loop to the pool, or runs it inline; an
+// empty range returns at once.
 func (s *Slab) pfor(lo, hi int, fn func(lo, hi int)) {
-	if s.Pool == nil {
+	switch {
+	case lo >= hi:
+	case s.Pool == nil:
 		fn(lo, hi)
-		return
+	default:
+		s.Pool.Split(lo, hi, fn)
 	}
-	s.Pool.Split(lo, hi, fn)
+}
+
+// sides pins the inflow and wall columns of a stage's result q and
+// recomputes their primitives into w (the fused kernels recovered the
+// primitives of the values the boundary condition has just replaced).
+// Wall columns are pinned in the radial sweep too — the viscous
+// cross-derivatives would otherwise shear momentum into the wall nodes.
+func (s *Slab) sides(q, w *flux.State) {
+	n := s.NxLoc
+	if s.Left {
+		if s.leftWall {
+			s.wallColumn(q, 0)
+		} else {
+			s.In.Apply(q, 0, s.Time+s.Dt)
+		}
+		flux.Primitives(s.Gas, q, w, 0, 1)
+	}
+	if s.rightWall {
+		s.wallColumn(q, n-1)
+		flux.Primitives(s.Gas, q, w, n-1, n)
+	}
 }
 
 // opX applies the axial operator (predictor + corrector) with the given
 // variant. Communication pattern: E1 prims, E2 flux, E3 predicted
 // prims, E4 predicted flux — the paper's four grouped N-S exchanges.
+// The radial ghost rows feed the stress tensor's cross-derivatives:
+// interior radial sides exchange fresh rows under the Fresh policy and
+// reuse lagged ones otherwise.
 func (s *Slab) opX(v scheme.Variant) {
-	// The overlapped schedule only makes sense when messages are in
-	// flight; a Wide policy's exchange-free steps take the plain path
-	// (which is bitwise-identical to the overlapped one).
-	if s.Overlap && s.exch {
-		s.opXOverlap(v)
-		return
-	}
 	gm, g := s.Gas, s.Grid
 	visc := s.Cfg.Viscous
 	n := s.NxLoc
 	c := &s.ctx
 	c.v, c.lam, c.visc = v, s.Dt/(6*g.Dx), visc
-	c.j0, c.j1 = 0, s.NrLoc
 
-	// Stage A: predictor. The radial ghost rows feed the stress tensor's
-	// cross-derivatives: interior radial sides exchange fresh rows under
-	// the Fresh policy and reuse lagged ones otherwise; physical sides
-	// always recompute the (communication-free) mirror/extrapolation.
-	c.q, c.w = s.Q, s.W
+	// Stage A: predictor, fused with the recovery of the predicted
+	// primitives (the first pass of stage B).
+	c.q, c.w, c.f = s.Q, s.W, s.F
 	if !s.wReady {
 		s.pfor(0, n, s.fnPrims)
 	}
 	s.wReady = false
-	s.fill(Axial, KPrims, s.W)
-	s.crossFill(Radial, KPrims, s.W)
-	c.f = s.F
-	s.pfor(0, n, s.fnStressFluxX)
-	s.fill(Axial, KFlux, s.F)
-	// The fused predictor also recovers the predicted primitives (the
-	// first pass of stage B); the boundary columns are recomputed after
-	// their conditions overwrite them.
-	s.pfor(0, n, s.fnPredictXPrims)
-	if s.Left {
-		if s.leftWall {
-			s.wallColumn(s.QP, 0)
-		} else {
-			s.In.Apply(s.QP, 0, s.Time+s.Dt)
-		}
-		flux.Primitives(gm, s.QP, s.WP, 0, 1)
-	}
-	if s.rightWall {
-		s.wallColumn(s.QP, n-1)
-		flux.Primitives(gm, s.QP, s.WP, n-1, n)
-	}
+	s.stage(Axial, KPrims, s.W, true, 1, s.fnStressFluxX)
+	s.stage(Axial, KFlux, s.F, false, 2, s.fnPredictXPrims)
+	s.sides(s.QP, s.WP)
 
 	// Stage B: corrector. The predicted-prims exchange feeds the
 	// predicted stress tensor; Euler needs no stresses, which is why the
-	// paper's Euler budget is three exchanges per step, not four.
-	if visc {
-		s.fill(Axial, KPredPrims, s.WP)
-		s.crossFill(Radial, KPredPrims, s.WP)
-	}
+	// paper's Euler budget is three exchanges per step, not four. The
+	// corrector also recovers the primitives of QN into W, so the next
+	// operator starts with its stage-A pass already done.
 	c.q, c.w, c.f = s.QP, s.WP, s.FP
-	s.pfor(0, n, s.fnStressFluxX)
-	s.fill(Axial, KPredFlux, s.FP)
-	// The corrector also recovers the primitives of QN into W, so the
-	// next operator starts with its stage-A pass already done; the
-	// boundary columns are recomputed after their conditions apply.
-	s.pfor(0, n, s.fnCorrectXPrims)
-
-	if s.Left {
-		if s.leftWall {
-			s.wallColumn(s.QN, 0)
-		} else {
-			s.In.Apply(s.QN, 0, s.Time+s.Dt)
-		}
-		flux.Primitives(gm, s.QN, s.W, 0, 1)
+	if visc {
+		s.stage(Axial, KPredPrims, s.WP, true, 1, s.fnStressFluxX)
+	} else {
+		c.j0, c.j1 = 0, s.NrLoc
+		s.pfor(0, n, s.fnStressFluxX)
 	}
-	if s.Right {
-		if s.rightWall {
-			s.wallColumn(s.QN, n-1)
-		} else {
-			bc.OutflowX(gm, g.Dx, s.Dt, s.Q, s.W, s.F, s.QN, n-1)
-		}
+	s.stage(Axial, KPredFlux, s.FP, false, 2, s.fnCorrectXPrims)
+	if s.Right && !s.rightWall {
+		bc.OutflowX(gm, g.Dx, s.Dt, s.Q, s.W, s.F, s.QN, n-1)
 		flux.Primitives(gm, s.QN, s.W, n-1, n)
 	}
+	s.sides(s.QN, s.W)
 	s.Q, s.QN = s.QN, s.Q
 	s.wReady = true
 	s.accountX(visc, n)
@@ -686,72 +697,33 @@ func (s *Slab) opX(v scheme.Variant) {
 // sweep direction, so its exchanges happen under either policy, exactly
 // as the axial exchanges of opX do.
 func (s *Slab) opR(v scheme.Variant) {
-	if s.Overlap && s.exch {
-		s.opROverlap(v)
-		return
-	}
 	gm, g := s.Gas, s.Grid
 	visc := s.Cfg.Viscous
 	n := s.NxLoc
 	c := &s.ctx
 	c.v, c.lam, c.visc = v, s.Dt/(6*g.Dr), visc
-	c.j0, c.j1 = 0, s.NrLoc
 
-	// Stage A: predictor.
-	c.q, c.w = s.Q, s.W
+	// Stage A: predictor, fused with the predicted primitives.
+	c.q, c.w, c.f, c.src = s.Q, s.W, s.F, s.Src
 	if !s.wReady {
 		s.pfor(0, n, s.fnPrims)
 	}
 	s.wReady = false
-	s.crossFill(Axial, KPrimsR, s.W)
-	s.fill(Radial, KPrimsR, s.W)
-	c.f, c.src = s.F, s.Src
-	s.pfor(0, n, s.fnStressFluxR)
-	s.fill(Radial, KFlux, s.F)
-	// Fused predictor + predicted-primitives sweep; the boundary columns
-	// are recomputed after their conditions overwrite them. Wall columns
-	// are pinned in the radial sweep too — the viscous cross-derivatives
-	// would otherwise shear momentum into the wall nodes.
-	s.pfor(0, n, s.fnPredictRPrims)
-	if s.Left {
-		if s.leftWall {
-			s.wallColumn(s.QP, 0)
-		} else {
-			s.In.Apply(s.QP, 0, s.Time+s.Dt)
-		}
-		flux.Primitives(gm, s.QP, s.WP, 0, 1)
-	}
-	if s.rightWall {
-		s.wallColumn(s.QP, n-1)
-		flux.Primitives(gm, s.QP, s.WP, n-1, n)
-	}
+	s.stage(Radial, KPrimsR, s.W, true, 1, s.fnStressFluxR)
+	s.stage(Radial, KFlux, s.F, false, 2, s.fnPredictRPrims)
+	s.sides(s.QP, s.WP)
 
-	// Stage B: corrector.
-	s.crossFill(Axial, KPredPrimsR, s.WP)
-	s.fill(Radial, KPredPrimsR, s.WP)
+	// Stage B: corrector, fused with the primitives of QN; the far-field
+	// row and the boundary columns are recomputed after their
+	// conditions apply.
 	c.q, c.w, c.f, c.src = s.QP, s.WP, s.FP, s.SrcP
-	s.pfor(0, n, s.fnStressFluxR)
-	s.fill(Radial, KPredFlux, s.FP)
-	// Fused corrector + primitives recovery; the far-field row and the
-	// inflow column are recomputed after their conditions apply.
-	s.pfor(0, n, s.fnCorrectRRowsPrims)
-
+	s.stage(Radial, KPredPrimsR, s.WP, true, 1, s.fnStressFluxR)
+	s.stage(Radial, KPredFlux, s.FP, false, 2, s.fnCorrectRPrims)
 	if s.Top && !s.topWall {
 		bc.FarFieldR(gm, g.Dr, s.Dt, g.Lr, s.R, s.Q, s.W, s.F, s.Src, s.QN, 0, n)
 		flux.PrimitivesRect(gm, s.QN, s.W, 0, n, s.NrLoc-1, s.NrLoc)
 	}
-	if s.Left {
-		if s.leftWall {
-			s.wallColumn(s.QN, 0)
-		} else {
-			s.In.Apply(s.QN, 0, s.Time+s.Dt)
-		}
-		flux.Primitives(gm, s.QN, s.W, 0, 1)
-	}
-	if s.rightWall {
-		s.wallColumn(s.QN, n-1)
-		flux.Primitives(gm, s.QN, s.W, n-1, n)
-	}
+	s.sides(s.QN, s.W)
 	s.Q, s.QN = s.QN, s.Q
 	s.wReady = true
 	s.accountR(visc, n)
@@ -865,7 +837,7 @@ func (s *Slab) AxialMomentum() [][]float64 {
 	out := s.momOut[:nx]
 	for c := 0; c < nx; c++ {
 		col := s.momBuf[c*nr : (c+1)*nr]
-		copy(col, s.Q[flux.IMx].Col(s.ExtL+c)[s.ExtB:s.ExtB+nr])
+		copy(col, s.Q[flux.IMx].Col(s.ExtL + c)[s.ExtB:s.ExtB+nr])
 		out[c] = col
 	}
 	return out

@@ -110,15 +110,15 @@ func TestStableDtPositiveAndSmall(t *testing.T) {
 func TestSlabValidation(t *testing.T) {
 	g := smallGrid(t)
 	gm := jet.Paper().Gas()
-	if _, err := NewSlab(jet.Paper(), g, gm, 0, 3, nil, Fresh); err == nil {
+	if _, err := NewSlabProblem(jet.Paper(), nil, g, gm, 0, 3, 0, g.Nr, nil, Fresh); err == nil {
 		t.Error("want error for slab narrower than stencil")
 	}
-	if _, err := NewSlab(jet.Paper(), g, gm, 60, 10, nil, Fresh); err == nil {
+	if _, err := NewSlabProblem(jet.Paper(), nil, g, gm, 60, 10, 0, g.Nr, nil, Fresh); err == nil {
 		t.Error("want error for slab outside grid")
 	}
 	bad := jet.Paper()
 	bad.MachCenter = -1
-	if _, err := NewSlab(bad, g, gm, 0, g.Nx, nil, Fresh); err == nil {
+	if _, err := NewSlabProblem(bad, nil, g, gm, 0, g.Nx, 0, g.Nr, nil, Fresh); err == nil {
 		t.Error("want error for invalid config")
 	}
 }
@@ -126,13 +126,13 @@ func TestSlabValidation(t *testing.T) {
 func TestSlabRectValidation(t *testing.T) {
 	g := smallGrid(t)
 	gm := jet.Paper().Gas()
-	if _, err := NewSlabRect(jet.Paper(), g, gm, 0, g.Nx, 0, 3, nil, Fresh); err == nil {
+	if _, err := NewSlabProblem(jet.Paper(), nil, g, gm, 0, g.Nx, 0, 3, nil, Fresh); err == nil {
 		t.Error("want error for block shorter than stencil")
 	}
-	if _, err := NewSlabRect(jet.Paper(), g, gm, 0, g.Nx, g.Nr-2, 6, nil, Fresh); err == nil {
+	if _, err := NewSlabProblem(jet.Paper(), nil, g, gm, 0, g.Nx, g.Nr-2, 6, nil, Fresh); err == nil {
 		t.Error("want error for rows outside grid")
 	}
-	s, err := NewSlabRect(jet.Paper(), g, gm, 4, 8, 4, g.Nr-4, nil, Fresh)
+	s, err := NewSlabProblem(jet.Paper(), nil, g, gm, 4, 8, 4, g.Nr-4, nil, Fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
