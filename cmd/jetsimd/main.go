@@ -36,7 +36,6 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync"
 
 	"repro/internal/serve"
 )
@@ -136,20 +135,9 @@ func runBatch(s *serve.Scheduler, r io.Reader, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	results := make([]serve.JobResult, len(jobs))
-	var wg sync.WaitGroup
-	for i, job := range jobs {
-		wg.Add(1)
-		go func(i int, job serve.Job) {
-			defer wg.Done()
-			rep, err := s.Submit(job.Config())
-			results[i] = serve.ResultOf(job.ID, rep, err)
-		}(i, job)
-	}
-	wg.Wait()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(results)
+	return enc.Encode(s.Batch(jobs))
 }
 
 // submitJobs POSTs the stdin jobs to a running jetsimd's /batch

@@ -89,7 +89,7 @@ func keyOf(c core.Config) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// copyResult returns a private deep copy of r: replies hand callers
+// copyResult returns a private deep copy of r: Submit hands callers
 // state they may mutate freely without corrupting the cached original.
 func copyResult(r *core.Result) *core.Result {
 	out := *r

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"sync"
 )
 
 // Handler returns the HTTP face of the scheduler — the jetsimd server:
@@ -29,7 +28,7 @@ func (s *Scheduler) Handler() http.Handler {
 			http.Error(w, "bad job: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		rep, err := s.Submit(job.Config())
+		rep, err := s.serve(job.Config())
 		status := http.StatusOK
 		if errors.Is(err, ErrBusy) || errors.Is(err, ErrClosed) {
 			status = http.StatusServiceUnavailable
@@ -42,18 +41,7 @@ func (s *Scheduler) Handler() http.Handler {
 			http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		results := make([]JobResult, len(jobs))
-		var wg sync.WaitGroup
-		for i, job := range jobs {
-			wg.Add(1)
-			go func(i int, job Job) {
-				defer wg.Done()
-				rep, err := s.Submit(job.Config())
-				results[i] = ResultOf(job.ID, rep, err)
-			}(i, job)
-		}
-		wg.Wait()
-		writeJSON(w, http.StatusOK, results)
+		writeJSON(w, http.StatusOK, s.Batch(jobs))
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -147,4 +148,58 @@ func TestHTTPRejectsUnknownFields(t *testing.T) {
 	if st := s.Stats(); st.CacheMisses != 0 {
 		t.Errorf("a rejected job reached the solver: %+v", st)
 	}
+}
+
+// TestSharedResultRace: wire replies encode from the shared cache line
+// while Submit callers copy it and write into their copies. Under
+// -race this proves the two never touch the same memory; every wire
+// reply must carry the cold run's checksum.
+func TestSharedResultRace(t *testing.T) {
+	s := New(Options{Slots: 2})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	const body = `{"nx":64,"nr":24,"steps":4}`
+	_, raw := postJSON(t, srv, "/run", body)
+	var cold JobResult
+	if err := json.Unmarshal(raw, &cold); err != nil || !cold.OK {
+		t.Fatalf("priming: %s (%v)", raw, err)
+	}
+
+	const each = 8
+	var wg sync.WaitGroup
+	for g := 0; g < each; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			resp, err := srv.Client().Post(srv.URL+"/run", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var res JobResult
+			if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+				t.Error(err)
+				return
+			}
+			if !res.Cached || res.MomentumSHA256 != cold.MomentumSHA256 {
+				t.Errorf("wire reply %+v, want the cold checksum %s", res, cold.MomentumSHA256)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			rep, err := s.Submit(Job{Nx: 64, Nr: 24, Steps: 4}.Config())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, col := range rep.Result.Momentum {
+				for j := range col {
+					col[j] = -col[j]
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -105,7 +105,8 @@ type JobResult struct {
 	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
 }
 
-// ResultOf builds the wire result for a served (or failed) job.
+// ResultOf builds the wire result for a served (or failed) job. It
+// reads the reply's Checksum rather than hashing the field again.
 func ResultOf(id string, rep *Reply, err error) JobResult {
 	if err != nil {
 		return JobResult{ID: id, OK: false, Error: err.Error()}
@@ -124,7 +125,7 @@ func ResultOf(id string, rep *Reply, err error) JobResult {
 		Converged:      r.Converged,
 		Mass:           r.Diag.Mass,
 		Energy:         r.Diag.Energy,
-		MomentumSHA256: MomentumChecksum(r.Momentum),
+		MomentumSHA256: rep.Checksum,
 		ElapsedMS:      float64(r.Elapsed.Microseconds()) / 1e3,
 	}
 }

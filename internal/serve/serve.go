@@ -2,8 +2,7 @@
 // into a multi-tenant service: a queued run scheduler that packs
 // concurrently executing solver runs onto the machine, a config-hash
 // result cache in front of it, and shared immutable per-scenario data
-// behind it. This is the serving layer of the ROADMAP's "millions of
-// users" refactor — the first place two solver runs execute
+// behind it. It is the first place two solver runs execute
 // concurrently inside one process, which is why the registries,
 // lifecycle, and parity tests around it are concurrency-hardened.
 //
@@ -20,11 +19,17 @@
 //     recomputing;
 //  3. a cold run passes admission control — a bounded FIFO wait queue
 //     (load beyond it is shed with ErrBusy) feeding a weighted slot
-//     pool: each run occupies its parallel width (time slices × ranks
-//     × per-rank workers) so the summed width of executing runs never
-//     exceeds the machine's Slots;
-//  4. the run executes through core.NewRun/Execute and its result is
-//     published to every waiter.
+//     pool: each run occupies its parallel width (ranks or shm workers
+//     × per-rank workers, see widthOf) so the summed width of executing
+//     runs never exceeds the machine's Slots;
+//  4. the run executes through core.NewRun/Execute, its momentum
+//     checksum is computed once, and result and checksum are published
+//     to every waiter.
+//
+// A cache line is immutable once published. The wire paths (Handler,
+// Batch) encode their replies straight from it, so a hit costs a map
+// lookup and a small JSON encode; Submit hands library callers a
+// private copy they may mutate.
 //
 // The per-job cost estimate comes from the cost-weighted decomposition
 // machinery of internal/solver: the analytic per-column FLOP profile
@@ -58,7 +63,7 @@ var (
 // Options configures a Scheduler. The zero value picks host defaults.
 type Options struct {
 	// Slots is the machine width the scheduler packs runs onto: the
-	// summed admission width (time slices × ranks × per-rank workers,
+	// summed admission width (ranks or shm workers × per-rank workers,
 	// clamped to Slots) of concurrently executing runs never exceeds
 	// it. Zero picks runtime.NumCPU().
 	Slots int
@@ -127,10 +132,12 @@ type Scheduler struct {
 // entry is one cache line with single-flight semantics: the first
 // submitter of a key computes, everyone else waits on done. Successful
 // entries stay forever (the result cache); failed ones are removed so
-// a retry recomputes.
+// a retry recomputes. res and sum are written once, before done is
+// closed, and never again.
 type entry struct {
 	done chan struct{}
 	res  *core.Result
+	sum  string // MomentumChecksum(res.Momentum)
 	err  error
 }
 
@@ -162,8 +169,12 @@ func New(o Options) *Scheduler {
 
 // Reply is one served job.
 type Reply struct {
-	// Result is a private copy — mutating it cannot corrupt the cache.
+	// Result is a private copy (Submit copies the shared cache line) —
+	// mutating it cannot corrupt the cache.
 	Result *core.Result
+	// Checksum is MomentumChecksum of the cached field, computed once
+	// by the cold run that produced it and shared by every reply.
+	Checksum string
 	// Cached reports a config-hash cache hit (including coalescing onto
 	// an in-flight duplicate). The physics fields of a cached Result
 	// are bitwise-identical to what a cold run of the same canonical
@@ -178,6 +189,34 @@ type Reply struct {
 // cold run admitted through the slot pool. Safe to call from any number
 // of goroutines; FIFO admission means no cold job is starved.
 func (s *Scheduler) Submit(cfg core.Config) (*Reply, error) {
+	rep, err := s.serve(cfg)
+	if err != nil {
+		return nil, err
+	}
+	rep.Result = copyResult(rep.Result)
+	return rep, nil
+}
+
+// Batch serves jobs concurrently and returns their wire results in
+// submission order. A job that fails carries its error in its result.
+func (s *Scheduler) Batch(jobs []Job) []JobResult {
+	results := make([]JobResult, len(jobs))
+	var wg sync.WaitGroup
+	for i, job := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := s.serve(job.Config())
+			results[i] = ResultOf(job.ID, rep, err)
+		}()
+	}
+	wg.Wait()
+	return results
+}
+
+// serve is Submit without the copy: the reply's Result is the shared
+// cache line, which callers only read.
+func (s *Scheduler) serve(cfg core.Config) (*Reply, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -205,7 +244,7 @@ func (s *Scheduler) Submit(cfg core.Config) (*Reply, error) {
 		s.mu.Lock()
 		s.perScenario[cc.Scenario]++
 		s.mu.Unlock()
-		return &Reply{Result: copyResult(e.res), Cached: true, Key: key}, nil
+		return &Reply{Result: e.res, Checksum: e.sum, Cached: true, Key: key}, nil
 	}
 	if s.queued >= s.maxQueue {
 		s.mu.Unlock()
@@ -227,6 +266,10 @@ func (s *Scheduler) Submit(cfg core.Config) (*Reply, error) {
 	res, err := runCold(cc)
 
 	s.sem.release(width)
+	var sum string
+	if err == nil {
+		sum = MomentumChecksum(res.Momentum)
+	}
 	s.mu.Lock()
 	s.running--
 	if err != nil {
@@ -236,14 +279,14 @@ func (s *Scheduler) Submit(cfg core.Config) (*Reply, error) {
 		s.perScenario[cc.Scenario]++
 	}
 	s.mu.Unlock()
-	e.res, e.err = res, err
+	e.res, e.sum, e.err = res, sum, err
 	close(e.done)
 	if err != nil {
 		s.failures.Add(1)
 		return nil, err
 	}
 	s.completed.Add(1)
-	return &Reply{Result: copyResult(res), Cached: false, Key: key}, nil
+	return &Reply{Result: res, Checksum: sum, Cached: false, Key: key}, nil
 }
 
 // runCold executes the canonical configuration once.

@@ -3,8 +3,10 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -153,6 +155,123 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
+// TestChecksumIdentity: every way a reply is served — the cold run, a
+// duplicate coalesced onto it in flight, a hit, an alias-spelled hit,
+// and a Batch hit (what POST /batch serves) — carries the checksum of
+// the field it names, equal to a solo run's, also after a caller
+// mutated an earlier reply.
+func TestChecksumIdentity(t *testing.T) {
+	cfg := smallJet()
+	want := MomentumChecksum(soloRun(t, cfg).Momentum)
+	s := New(Options{Slots: 1})
+	defer s.Close()
+	check := func(what string, rep *Reply, cached bool) {
+		t.Helper()
+		if rep.Cached != cached {
+			t.Fatalf("%s: cached=%v, want %v", what, rep.Cached, cached)
+		}
+		if got := MomentumChecksum(rep.Result.Momentum); rep.Checksum != got || got != want {
+			t.Fatalf("%s: Checksum %s, field hashes to %s, solo run %s", what, rep.Checksum, got, want)
+		}
+	}
+
+	// Hold the only slot so the cold run queues, and its duplicate
+	// finds the cache line still in flight.
+	s.sem.acquire(1)
+	replies := make([]*Reply, 2)
+	var wg sync.WaitGroup
+	submit := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := s.Submit(cfg)
+			if err != nil {
+				t.Error(err)
+			}
+			replies[i] = rep
+		}()
+	}
+	submit(0)
+	waitFor(t, func() bool { return s.Stats().Queued == 1 })
+	submit(1)
+	// Give the duplicate time to reach the in-flight line. Nothing
+	// observable marks that moment; if it comes late, the duplicate is
+	// a plain hit and every assertion below still holds.
+	time.Sleep(20 * time.Millisecond)
+	s.sem.release(1)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if replies[0].Cached {
+		replies[0], replies[1] = replies[1], replies[0]
+	}
+	check("cold", replies[0], false)
+	check("coalesced", replies[1], true)
+
+	replies[0].Result.Momentum[0][0] = 12345
+	replies[1].Result.Momentum[1][1] = -1
+	hit, err := s.Submit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("hit", hit, true)
+	if got := ResultOf("", &Reply{Result: hit.Result, Checksum: "carried"}, nil).MomentumSHA256; got != "carried" {
+		t.Fatalf("ResultOf reported %s instead of the reply's Checksum: it hashed the field again", got)
+	}
+	hit.Result.Momentum[2][2] = 0
+	alias, err := s.Submit(core.Config{Backend: "serial", Scenario: "jet", Nx: 64, Nr: 24, Steps: 5, Procs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("alias hit", alias, true)
+	for _, res := range s.Batch([]Job{{ID: "b", Nx: 64, Nr: 24, Steps: 5}}) {
+		if !res.OK || !res.Cached || res.MomentumSHA256 != want {
+			t.Fatalf("batch hit: %+v, want checksum %s", res, want)
+		}
+	}
+}
+
+// TestHitBytes pins the cost of a wire hit: the shared path plus
+// ResultOf allocates the same few bytes whatever the grid, because it
+// neither copies nor hashes the field. (Submit's private copy of the
+// 256×96 field alone is ~200 KB.)
+func TestHitBytes(t *testing.T) {
+	s := New(Options{Slots: 1})
+	defer s.Close()
+	const hits = 200
+	var sink JobResult
+	perHit := func(cfg core.Config) uint64 {
+		if _, err := s.serve(cfg); err != nil {
+			t.Fatal(err)
+		}
+		best := uint64(math.MaxUint64)
+		for round := 0; round < 3; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < hits; i++ {
+				rep, err := s.serve(cfg)
+				sink = ResultOf("hit", rep, err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, (after.TotalAlloc-before.TotalAlloc)/hits)
+		}
+		if !sink.Cached {
+			t.Fatalf("%dx%d: not served from the cache", cfg.Nx, cfg.Nr)
+		}
+		return best
+	}
+	small := perHit(core.Config{Nx: 64, Nr: 24, Steps: 2})
+	large := perHit(core.Config{Nx: 256, Nr: 96, Steps: 2})
+	t.Logf("bytes per wire hit: %d at 64x24, %d at 256x96", small, large)
+	if small != large {
+		t.Errorf("a wire hit allocates %d B at 64x24 but %d B at 256x96: it scales with the field", small, large)
+	}
+	if large > 4<<10 {
+		t.Errorf("a wire hit allocates %d B, want at most 4 KiB", large)
+	}
+}
+
 // mixedJobs builds the smoke/bench workload: a parameter sweep over
 // scenarios, backends, Reynolds number, excitation, grid, and
 // tolerance, with deliberate duplicates.
@@ -192,17 +311,7 @@ func TestServiceSmoke(t *testing.T) {
 	s := New(Options{Slots: 4})
 	defer s.Close()
 	jobs := mixedJobs(50)
-	results := make([]JobResult, len(jobs))
-	var wg sync.WaitGroup
-	for i, job := range jobs {
-		wg.Add(1)
-		go func(i int, job Job) {
-			defer wg.Done()
-			rep, err := s.Submit(job.Config())
-			results[i] = ResultOf(job.ID, rep, err)
-		}(i, job)
-	}
-	wg.Wait()
+	results := s.Batch(jobs)
 
 	for i, res := range results {
 		if !res.OK {
