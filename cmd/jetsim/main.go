@@ -12,8 +12,7 @@
 //	jetsim -backend mp2d -procs 8 -steps 200       # auto near-square rank grid
 //	jetsim -backend mp2d -px 4 -pr 2 -steps 200    # explicit 4x2 rank grid
 //	jetsim -backend mp2d:v6 -procs 8 -steps 200    # overlapped 2-D exchanges
-//	jetsim -backend mp2d -version 6 -procs 8       # same, via the version flag
-//	jetsim -backend hybrid -version 6 -procs 4     # overlapped ranks x DOALL
+//	jetsim -backend hybrid:v6 -procs 4             # overlapped ranks x DOALL
 //	jetsim -backend mp:v5 -procs 8 -balance flops  # cost-weighted decomposition
 //	jetsim -backend mp2d -procs 8 -balance measured # warm-up-measured weights
 //	jetsim -tol 1e-4 -steps 5000                   # stop when converged
@@ -45,22 +44,21 @@ func main() {
 	log.SetPrefix("jetsim: ")
 	// The flags bind straight into the run description: core.Config is
 	// the only spelling of a run, and Config.Canonical (inside NewRun)
-	// the only place it is folded and judged — "-backend mp2d -version
-	// 6" selects the overlapped strategy, a serial run is one slab
-	// whatever -procs says, and a contradiction like "-backend mp:v5
-	// -version 6" is rejected by the registry instead of ignored.
+	// the only place it is folded and judged — a serial run is one slab
+	// whatever -procs says, and a contradiction like "-fresh
+	// -halo-depth 2" is rejected instead of ignored. The -backend name
+	// alone selects the communication strategy (mp2d:v6, hybrid:v7).
 	var cfg core.Config
 	flag.IntVar(&cfg.Nx, "nx", 125, "axial grid nodes")
 	flag.IntVar(&cfg.Nr, "nr", 50, "radial grid nodes")
 	flag.IntVar(&cfg.Steps, "steps", 500, "composite time steps")
 	flag.BoolVar(&cfg.Euler, "euler", false, "solve the Euler equations instead of Navier-Stokes")
-	flag.StringVar(&cfg.Backend, "backend", "serial", "execution backend: "+strings.Join(backend.Names(), ", "))
+	flag.StringVar(&cfg.Backend, "backend", "serial", "execution backend, which also names the communication strategy: "+strings.Join(backend.Names(), ", "))
 	flag.StringVar(&cfg.Scenario, "scenario", "", "flow scenario: "+strings.Join(scenario.Names(), ", ")+" (empty = jet; cavity/channel pin their own physics, so -euler applies to the jet only)")
 	flag.IntVar(&cfg.Procs, "procs", 4, "ranks (mp, mp2d, hybrid) or workers (shm)")
 	flag.IntVar(&cfg.Workers, "workers", 0, "per-rank DOALL workers (hybrid; 0 = host default)")
 	flag.IntVar(&cfg.Px, "px", 0, "axial rank-grid width (mp2d; 0 = auto near-square)")
 	flag.IntVar(&cfg.Pr, "pr", 0, "radial rank-grid height (mp2d; 0 = auto near-square)")
-	flag.IntVar(&cfg.Version, "version", 0, "communication strategy 5, 6, or 7 (0 = backend default); contradicting a version-pinned backend name is an error")
 	flag.StringVar(&cfg.Balance, "balance", "", "decomposition cost model: uniform, flops, or measured (distributed backends; empty = uniform)")
 	flag.Float64Var(&cfg.StopTol, "tol", 0, "stop tolerance on the global L2 residual (0 = march -steps fixed)")
 	flag.IntVar(&cfg.ReduceEvery, "reduce-every", 0, "residual-reduction cadence in steps (0 = every step when -tol is set)")

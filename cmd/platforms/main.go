@@ -1,7 +1,7 @@
 // Command platforms co-simulates the paper's platforms on the
 // application workload and prints execution-time curves. With -backend
 // it additionally measures the real workload on this host through the
-// solver-backend registry, appending the measured curve to the
+// solver-backend table, appending the measured curve to the
 // simulated ones — the paper's same-computation-everywhere premise made
 // literal.
 //
@@ -13,7 +13,7 @@
 //	platforms -backend hybrid      # add a measured host curve
 //	platforms -backend mp2d        # measured 2-D rank-grid curve
 //	platforms -backend mp2d:v6     # measured overlapped rank-grid curve
-//	platforms -backend hybrid -version 6   # overlap on the measured ranks too
+//	platforms -backend hybrid:v6 -version 6  # overlap simulated and measured
 //	platforms -backend mp:v5 -balance flops # cost-weighted host decomposition
 //	platforms -reduce-every 10              # cost the convergence collective
 //	platforms -backend mp2d -tol 1e-4 -reduce-every 10  # converged host run
@@ -55,11 +55,11 @@ func main() {
 	// -procs stays outside it — it selects one point of the sweep.
 	var host core.Config
 	flag.BoolVar(&host.Euler, "euler", false, "Euler workload instead of Navier-Stokes")
-	flag.IntVar(&host.Version, "version", 0, "communication strategy: 5, 6, or 7 (0 = Version 5 for the co-simulation, backend default for the measured host run)")
+	simVersion := flag.Int("version", 5, "communication strategy of the co-simulated platforms: 5, 6, or 7 (the measured host run takes its strategy from the -backend name)")
 	name := flag.String("platform", "", "run a single platform by name")
 	procs := flag.Int("procs", 0, "run a single processor count (0 = sweep)")
 	chart := flag.Bool("chart", true, "draw log-scale ASCII chart")
-	flag.StringVar(&host.Backend, "backend", "", "also measure a real host run through the backend registry: "+strings.Join(backend.Names(), ", "))
+	flag.StringVar(&host.Backend, "backend", "", "also measure a real host run on this backend (its name picks the communication strategy): "+strings.Join(backend.Names(), ", "))
 	flag.StringVar(&host.Scenario, "scenario", "", "flow scenario of the measured host run: "+strings.Join(scenario.Names(), ", ")+" (empty = jet; the co-simulation always replays the paper's jet traces)")
 	flag.StringVar(&host.Balance, "balance", "", "decomposition cost model of the measured host run: uniform, flops, or measured")
 	flag.Float64Var(&host.StopTol, "tol", 0, "stop tolerance of the measured host run (0 = fixed -steps)")
@@ -91,13 +91,6 @@ func main() {
 	// hierarchical reduce thins the collective to node leaders.
 	ch.HaloDepth = host.HaloDepth
 	ch.ReduceGroup = host.ReduceGroup
-	// The co-simulation needs a concrete strategy; the measured host run
-	// passes the raw flag through so 0 stays "backend default" (and a
-	// pinned backend name like mp:v6 is not contradicted).
-	simVersion := host.Version
-	if simVersion == 0 {
-		simVersion = 5
-	}
 	plats := allPlatforms()
 	if *name != "" {
 		plats = nil
@@ -124,7 +117,7 @@ func main() {
 			if np > p.MaxProcs {
 				continue
 			}
-			o, err := p.Simulate(ch, np, simVersion)
+			o, err := p.Simulate(ch, np, *simVersion)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -139,9 +132,6 @@ func main() {
 	}
 
 	if real := host.Backend; real != "" {
-		if _, err := backend.Get(real); err != nil {
-			log.Fatal(err)
-		}
 		s := stats.Series{Name: fmt.Sprintf("host %s (measured)", real)}
 		if host.Scenario != "" {
 			s.Name = fmt.Sprintf("host %s %s (measured)", real, host.Scenario)
@@ -155,18 +145,9 @@ func main() {
 		case *procs > 0:
 			counts = []int{*procs}
 		}
-		// A distributed measured curve honors -version too: the registry
-		// applies the same strategy selection (and contradiction
-		// checking) to the host run that the co-simulation applies to
-		// the 1995 platforms. serial and shm have no message layer, so
-		// for them -version stays what it always was — a co-simulation
-		// parameter — instead of failing the host baseline.
 		// -balance has no co-simulation meaning, so it always reaches
-		// the registry, which rejects it on serial/shm instead of
+		// the backend, which rejects it on serial/shm instead of
 		// silently measuring a uniform curve the user did not ask for.
-		if real == "serial" || real == "shm" {
-			host.Version = 0
-		}
 		for _, np := range counts {
 			host.Procs = np
 			run, err := core.NewRun(host)
@@ -182,7 +163,7 @@ func main() {
 		series = append(series, s)
 	}
 
-	title := fmt.Sprintf("%s execution time (s), Version %d", ch.Name, simVersion)
+	title := fmt.Sprintf("%s execution time (s), Version %d", ch.Name, *simVersion)
 	t := report.SeriesTable(title, "Procs", series)
 	t.Render(os.Stdout)
 	if *chart {

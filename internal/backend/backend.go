@@ -1,32 +1,34 @@
 // Package backend is the unified solver-backend layer: one interface
 // over every execution style of the reproduction, selected by name
-// through a registry. The paper's whole point is running the *same*
+// from one table. The paper's whole point is running the *same*
 // Navier-Stokes computation across a variety of architectural
 // platforms; this package makes that literal — callers pick a backend
 // by name and get bitwise-identical physics however the sweeps are
 // scheduled.
 //
-// The eight spatial names are rows of one descriptor table
-// (spatial.go): a row states which communication versions the name
-// implements (and whether it pins one), how it shapes the rank grid,
-// and which slabs get a DOALL pool. Validate, Run and NewPropagator are
-// written once on top of the table, over one engine surface — a single
-// slab for serial and shm, the rank-grid runner of internal/par for the
-// rest. Adding a spatial backend is adding a row.
+// The ten spatial names are rows of one literal table (spatial.go): a
+// row names the one communication version it runs, how it shapes the
+// rank grid, and which slabs get a DOALL pool. Validate, Run and
+// NewPropagator are written once on top of the table, over one engine
+// surface — a single slab for serial and shm, the rank-grid runner of
+// internal/par for the rest. Adding a spatial backend is adding a row.
 //
-//	name     versions   shape     pool
-//	serial   —          one slab  —
-//	shm      —          one slab  Procs workers (Cray Y-MP DOALL)
-//	mp:v5    5 pinned   Procs×1   —        grouped two-column halo messages
-//	mp:v6    6 pinned   Procs×1   —        communication/computation overlap
-//	mp:v7    7 pinned   Procs×1   —        de-burst one-column flux messages
-//	mp2d     5, 6       Px×Pr     —        ghost columns plus ghost rows
-//	mp2d:v6  6 pinned   Px×Pr     —        overlap in both directions
-//	hybrid   5, 6, 7    Procs×1   Workers per rank (ranks × DOALL)
+//	name       version  shape     pool
+//	serial     —        one slab  —
+//	shm        —        one slab  Procs workers (Cray Y-MP DOALL)
+//	mp:v5      5        Procs×1   —        grouped two-column halo messages
+//	mp:v6      6        Procs×1   —        communication/computation overlap
+//	mp:v7      7        Procs×1   —        de-burst one-column flux messages
+//	mp2d       5        Px×Pr     —        ghost columns plus ghost rows
+//	mp2d:v6    6        Px×Pr     —        overlap in both directions
+//	hybrid     5        Procs×1   Workers per rank (ranks × DOALL)
+//	hybrid:v6  6        Procs×1   Workers per rank
+//	hybrid:v7  7        Procs×1   Workers per rank
 //
-// A name rejects every option it has no use for — a version it does
-// not implement or that contradicts its pin, a balance mode or cost
-// profile without a decomposition to apply it to, a Wide policy or
+// The name is the whole communication-strategy selection.
+//
+// A name rejects every option it has no use for — a balance mode or
+// cost profile without a decomposition to apply it to, a Wide policy or
 // reduce group without ranks — never a silent downgrade. Options.Balance
 // (uniform point counts, the analytic flops profile, or a measured
 // warm-up) changes block shapes, never numerics.
@@ -38,13 +40,13 @@ package backend
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/flux"
 	"repro/internal/grid"
 	"repro/internal/jet"
 	"repro/internal/par"
-	"repro/internal/registry"
 	"repro/internal/scenario"
 	"repro/internal/solver"
 	"repro/internal/trace"
@@ -58,7 +60,7 @@ type Options struct {
 	// whose boundary conditions and initial state the slabs run. Empty
 	// means "jet", the excited jet of the paper. The caller is
 	// responsible for passing a cfg and grid consistent with the
-	// scenario (core.NewRun resolves both through the same registry);
+	// scenario (core.NewRun resolves both through the same table);
 	// scenarios validate what they can (the cavity rejects a grid
 	// without its radial offset).
 	Scenario string
@@ -74,12 +76,6 @@ type Options struct {
 	// The other names fix their shape (one slab, or Procs×1) and ignore
 	// them.
 	Px, Pr int
-	// Version requests a communication strategy (par.V5, V6, V7) from a
-	// distributed backend. Zero means the backend's default. A backend
-	// whose registry name pins a version (mp:v5, mp:v6, mp:v7, mp2d:v6)
-	// rejects a contradicting request, and every backend rejects a
-	// version it does not implement — never a silent downgrade.
-	Version par.Version
 	// Policy selects the halo treatment of the distributed backends:
 	// Lagged matches the paper's Table 1 message budget, Fresh
 	// reproduces the serial arithmetic bitwise.
@@ -152,8 +148,8 @@ const measuredProbeSteps = 1
 // resolveControl maps the convergence-control request onto the
 // solver's Control, rejecting nonsense values. Every backend supports
 // convergence control (a serial slab's partial sums are already
-// global), so unlike versions and balance modes there is nothing to
-// reject per backend — only to validate.
+// global), so unlike balance modes there is nothing to reject per
+// backend — only to validate.
 func resolveControl(name string, o Options) (solver.Control, error) {
 	if o.StopTol < 0 {
 		return solver.Control{}, fmt.Errorf("backend: %s: negative stop tolerance %g", name, o.StopTol)
@@ -179,8 +175,8 @@ func (o Options) scenario() string {
 }
 
 // resolveProblem maps Options.Scenario onto the solver problem every
-// slab runs, always through the scenario registry: the empty string is
-// the registered "jet" (whose zero-valued Problem takes the built-in
+// slab runs, always through the scenario table: the empty string is
+// the "jet" row (whose zero-valued Problem takes the built-in
 // boundary paths), an unknown name surfaces the available list, and the
 // scenario validates cfg and grid.
 func resolveProblem(cfg jet.Config, g *grid.Grid, o Options) (*solver.Problem, error) {
@@ -281,42 +277,39 @@ type Propagator interface {
 	Close()
 }
 
-// Validate checks opts against b without running it.
-func Validate(b Backend, cfg jet.Config, g *grid.Grid, opts Options) error {
-	return b.Validate(cfg, g, opts)
-}
-
 // NewPropagator builds b's solver as a Propagator.
 func NewPropagator(b Backend, cfg jet.Config, g *grid.Grid, opts Options) (Propagator, error) {
 	return b.NewPropagator(cfg, g, opts)
 }
 
-// backends maps backend names to implementations. Registration happens
-// in package init functions, but a serving process resolves names from
-// concurrently executing runs, so the table is the mutex-guarded
-// registry type — bare map reads beside a late Register (tests, future
-// plug-in backends) would be a data race.
-var backends = registry.New[Backend]()
-
-// register adds b under its name; duplicate names are a programming
-// error.
-func register(b Backend) {
-	if !backends.Add(b.Name(), b) {
-		panic(fmt.Sprintf("backend: duplicate registration of %q", b.Name()))
-	}
-}
-
-// Get resolves a backend by name. The error lists the registered names
-// so callers can surface it directly as CLI help text.
+// Get resolves a backend by name. The error lists the backend names so
+// callers can surface it directly as CLI help text.
 func Get(name string) (Backend, error) {
-	b, ok := backends.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("backend: unknown backend %q (have %v)", name, Names())
+	for _, b := range spatialBackends {
+		if b.name == name {
+			return b, nil
+		}
 	}
-	return b, nil
+	return nil, fmt.Errorf("backend: unknown backend %q (have %v)", name, Names())
 }
 
-// Names returns the registered backend names, sorted.
+// Names returns the backend names, sorted.
 func Names() []string {
-	return backends.Names()
+	names := make([]string, len(spatialBackends))
+	for i, b := range spatialBackends {
+		names[i] = b.name
+	}
+	slices.Sort(names)
+	return names
+}
+
+// Width is the number of goroutines a run of the named backend computes
+// on: its ranks (or shm workers) times each rank's DOALL workers, the
+// host default included. Admission control packs runs by it.
+func Width(name string, o Options) (int, error) {
+	b, err := Get(name)
+	if err != nil {
+		return 0, err
+	}
+	return b.(spatialBackend).width(o), nil
 }

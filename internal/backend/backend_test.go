@@ -28,28 +28,31 @@ func testRamp(n int) []float64 {
 	return w
 }
 
+// rankPools reports whether the named backend gives every rank a DOALL
+// pool (the hybrid rows), which the sweeps size at two workers.
+func rankPools(name string) bool {
+	b, err := Get(name)
+	return err == nil && b.(spatialBackend).pool == poolPerRank
+}
+
 // parityOptions returns the Options sweep TestBackendParity runs for
 // one backend: every parallel width 1..4, plus — for both mp2d
 // variants — a set of explicit rank-grid shapes that includes
-// non-divisible splits of both nx and nr, plus — for hybrid — the
-// overlapped rank layer (Version 6) on top of the DOALL pool, plus —
-// for every distributed backend — cost-weighted decompositions
-// (explicit skewed profiles and the flops/measured balance modes):
-// load balancing must be numerics-neutral, whatever blocks it picks.
+// non-divisible splits of both nx and nr, plus — for every distributed
+// backend — cost-weighted decompositions (explicit skewed profiles and
+// the flops/measured balance modes): load balancing must be
+// numerics-neutral, whatever blocks it picks. The hybrid rows run every
+// point over two workers per rank.
 func parityOptions(name string, g *grid.Grid) []Options {
 	var opts []Options
 	for p := 1; p <= 4; p++ {
 		o := Options{Procs: p, Policy: solver.Fresh}
-		if name == "hybrid" {
+		if rankPools(name) {
 			o.Workers = 2
 		}
 		opts = append(opts, o)
 	}
 	distributed := name != "serial" && name != "shm"
-	if name == "hybrid" {
-		opts = append(opts, Options{Procs: 3, Workers: 2, Version: par.V6, Policy: solver.Fresh})
-		opts = append(opts, Options{Procs: 3, Workers: 2, Version: par.V6, Policy: solver.Fresh, ColWeights: testRamp(g.Nx)})
-	}
 	if name == "mp2d" || name == "mp2d:v6" {
 		// The parity grid is 64x26: px=3 leaves columns 22+21+21 and
 		// pr=3 leaves rows 9+9+8, so both directions cover the
@@ -68,7 +71,7 @@ func parityOptions(name string, g *grid.Grid) []Options {
 	}
 	if distributed {
 		o := Options{Procs: 3, Policy: solver.Fresh, ColWeights: testRamp(g.Nx)}
-		if name == "hybrid" {
+		if rankPools(name) {
 			o.Workers = 2
 		}
 		if name != "mp2d" && name != "mp2d:v6" {
@@ -76,7 +79,7 @@ func parityOptions(name string, g *grid.Grid) []Options {
 		}
 		for _, balance := range []string{BalanceFlops, BalanceMeasured} {
 			b := Options{Procs: 4, Policy: solver.Fresh, Balance: balance}
-			if name == "hybrid" {
+			if rankPools(name) {
 				b.Workers = 2
 			}
 			opts = append(opts, b)
@@ -88,14 +91,11 @@ func parityOptions(name string, g *grid.Grid) []Options {
 // optionsLabel names one sweep point for the subtest tree.
 func optionsLabel(o Options) string {
 	v := ""
-	if o.Version != 0 {
-		v = fmt.Sprintf("v%d", int(o.Version))
-	}
 	switch {
 	case o.Balance != "":
-		v += "-" + o.Balance
+		v = "-" + o.Balance
 	case o.ColWeights != nil || o.RowWeights != nil:
-		v += "-weighted"
+		v = "-weighted"
 	}
 	if o.Px > 0 || o.Pr > 0 {
 		return fmt.Sprintf("px%dxpr%d%s", o.Px, o.Pr, v)
@@ -110,20 +110,17 @@ func optionsLabel(o Options) string {
 // run per backend: the jet already walks every decomposition corner of
 // the engine, so cavity and channel concentrate on what their boundary
 // conditions change — single-rank and remainder-width multi-rank runs
-// on every backend, rank grids that cut both the walls and the
-// interior (mp2d and its overlapped variant), and the overlapped axial
-// strategy over a worker pool (hybrid V6).
+// on every backend (the hybrid rows over a worker pool), and rank grids
+// that cut both the walls and the interior (mp2d and its overlapped
+// variant).
 func scenarioParityOptions(name string) []Options {
 	var opts []Options
 	for _, p := range []int{1, 3} {
 		o := Options{Procs: p, Policy: solver.Fresh}
-		if name == "hybrid" {
+		if rankPools(name) {
 			o.Workers = 2
 		}
 		opts = append(opts, o)
-	}
-	if name == "hybrid" {
-		opts = append(opts, Options{Procs: 3, Workers: 2, Version: par.V6, Policy: solver.Fresh})
 	}
 	if name == "mp2d" || name == "mp2d:v6" {
 		// {3,2} puts remainder blocks in both directions and wall-owning
@@ -138,8 +135,8 @@ func scenarioParityOptions(name string) []Options {
 // TestBackendParity is the layer's central guarantee: under the Fresh
 // halo policy every registered backend produces bitwise-identical
 // fields after N composite steps — the same-arithmetic-everywhere
-// property the solver package doc claims — asserted registry-wide for
-// every registered scenario. The jet runs the full decomposition sweep
+// property the solver package doc claims — asserted for every backend
+// and every scenario. The jet runs the full decomposition sweep
 // (every parallel width 1..4; for the 2-D decomposition, a set of
 // rank-grid shapes including non-divisible nx/nr splits; for every
 // distributed backend, cost-weighted decompositions — explicit skewed
@@ -148,10 +145,9 @@ func scenarioParityOptions(name string) []Options {
 // numerics-neutral). The wall-bounded scenarios run the reduced sweep
 // of scenarioParityOptions over the identical backends.
 //
-// The jet's serial reference runs with Options.Scenario empty — the
-// pre-registry code path — while its sweep points name "jet"
-// explicitly, so the sweep also pins that the registry's jet
-// registration is bitwise-transparent.
+// The jet's serial reference runs with Options.Scenario empty while its
+// sweep points name "jet" explicitly, so the sweep also pins that the
+// table's jet row is bitwise-transparent.
 func TestBackendParity(t *testing.T) {
 	const steps = 6
 	for _, scen := range scenario.Names() {
@@ -266,7 +262,7 @@ func TestHybridComposesBothStyles(t *testing.T) {
 // TestRegistry covers lookup, the sorted name list, and the error text
 // that doubles as CLI help.
 func TestRegistry(t *testing.T) {
-	want := []string{"hybrid", "mp2d", "mp2d:v6", "mp:v5", "mp:v6", "mp:v7", "serial", "shm"}
+	want := []string{"hybrid", "hybrid:v6", "hybrid:v7", "mp2d", "mp2d:v6", "mp:v5", "mp:v6", "mp:v7", "serial", "shm"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("registry: %v, want %v", got, want)
@@ -290,60 +286,71 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestVersionSelection pins the registry-level version semantics:
-// version-agnostic backends honor Options.Version, pinned names reject
-// contradictions, and no backend silently downgrades an unimplemented
-// strategy.
+// TestVersionSelection pins the communication strategy every name
+// runs: the version its built engine carries (none for the single-slab
+// names), and what that version books under the Lagged policy — V6
+// overlaps without changing the V5 message budget, V7 sends each of the
+// Navier-Stokes step's two flux exchanges as two one-column messages,
+// so it books twice V5's flux startups (6/4 of V5's total over the four
+// exchanges) and the same bytes. No name may silently change strategy.
 func TestVersionSelection(t *testing.T) {
 	g := testGrid(t)
 	cfg := jet.Paper()
-	ok := []struct {
-		name string
-		o    Options
-	}{
-		{"mp2d", Options{Procs: 2, Version: par.V6}},
-		{"mp2d:v6", Options{Procs: 2}},
-		{"mp2d:v6", Options{Procs: 2, Version: par.V6}},
-		{"hybrid", Options{Procs: 2, Workers: 2, Version: par.V6}},
-		{"hybrid", Options{Procs: 2, Workers: 2, Version: par.V7}},
-		{"mp:v6", Options{Procs: 2, Version: par.V6}},
+	want := map[string]par.Version{
+		"serial": 0, "shm": 0,
+		"mp:v5": par.V5, "mp:v6": par.V6, "mp:v7": par.V7,
+		"mp2d": par.V5, "mp2d:v6": par.V6,
+		"hybrid": par.V5, "hybrid:v6": par.V6, "hybrid:v7": par.V7,
 	}
-	for _, c := range ok {
-		b, err := Get(c.name)
+	if len(want) != len(Names()) {
+		t.Fatalf("table covers %d names, backends are %v", len(want), Names())
+	}
+	// v5 is the Version-5 row each V6 and V7 row's message budget is
+	// compared against: the same engine shape and pool.
+	v5 := map[string]string{
+		"mp:v6": "mp:v5", "mp:v7": "mp:v5", "mp2d:v6": "mp2d",
+		"hybrid:v6": "hybrid", "hybrid:v7": "hybrid",
+	}
+	comm := map[string]Result{}
+	for _, name := range Names() {
+		be, err := Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Validate(b, cfg, g, c.o); err != nil {
-			t.Errorf("%s %s: unexpected validate error: %v", c.name, optionsLabel(c.o), err)
-			continue
+		b := be.(spatialBackend)
+		o := Options{Procs: 3, Policy: solver.Lagged}
+		if rankPools(name) {
+			o.Workers = 2
 		}
-		if _, err := b.Run(cfg, g, c.o, 1); err != nil {
-			t.Errorf("%s %s: unexpected run error: %v", c.name, optionsLabel(c.o), err)
-		}
-	}
-	bad := []struct {
-		name string
-		o    Options
-	}{
-		{"mp:v5", Options{Procs: 2, Version: par.V6}},
-		{"mp:v6", Options{Procs: 2, Version: par.V5}},
-		{"mp2d:v6", Options{Procs: 2, Version: par.V5}},
-		{"mp2d", Options{Procs: 2, Version: par.V7}}, // de-burst is axial-only
-		{"mp2d:v6", Options{Procs: 2, Version: par.V7}},
-		{"mp2d", Options{Procs: 2, Version: par.Version(9)}},
-		{"serial", Options{Version: par.V6}},
-		{"shm", Options{Procs: 2, Version: par.V6}},
-	}
-	for _, c := range bad {
-		b, err := Get(c.name)
+		p, err := b.resolve(cfg, g, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Validate(b, cfg, g, c.o); err == nil {
-			t.Errorf("%s %s: Validate accepted an unsupported/contradicting version", c.name, optionsLabel(c.o))
+		in, err := b.build(cfg, g, o, p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := b.Run(cfg, g, c.o, 1); err == nil {
-			t.Errorf("%s %s: Run accepted an unsupported/contradicting version", c.name, optionsLabel(c.o))
+		var got par.Version
+		if r, ok := in.engine.(*par.Runner); ok {
+			got = r.Opt.Version
+		}
+		in.Close()
+		if got != want[name] {
+			t.Errorf("%s builds an engine running Version %d, want %d", name, int(got), int(want[name]))
+		}
+		if comm[name], err = b.Run(cfg, g, o, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, ref := range v5 {
+		r, r5 := comm[name].Comm, comm[ref].Comm
+		wantStartups := r5.Startups
+		if want[name] == par.V7 {
+			wantStartups = r5.Startups * 3 / 2
+		}
+		if r5.Startups == 0 || r.Startups != wantStartups || r.Bytes != r5.Bytes {
+			t.Errorf("%s books %d startups / %d bytes, want %d / %d (%s: %d / %d)",
+				name, r.Startups, r.Bytes, wantStartups, r5.Bytes, ref, r5.Startups, r5.Bytes)
 		}
 	}
 }
@@ -373,7 +380,7 @@ func TestBalanceSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Validate(b, cfg, g, c.o); err != nil {
+		if err := b.Validate(cfg, g, c.o); err != nil {
 			t.Errorf("%s %s: unexpected validate error: %v", c.name, optionsLabel(c.o), err)
 			continue
 		}
@@ -401,7 +408,7 @@ func TestBalanceSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Validate(b, cfg, g, c.o); err == nil {
+		if err := b.Validate(cfg, g, c.o); err == nil {
 			t.Errorf("%s %s: Validate accepted an unsupported balance request", c.name, optionsLabel(c.o))
 		}
 		if _, err := b.Run(cfg, g, c.o, 1); err == nil {
@@ -549,10 +556,10 @@ func TestValidateCatchesBadDecomposition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Validate(b, cfg, g, Options{Procs: 32}); err == nil {
+		if err := b.Validate(cfg, g, Options{Procs: 32}); err == nil {
 			t.Errorf("%s: want decomposition error for 32 ranks on 64 columns", name)
 		}
-		if err := Validate(b, cfg, g, Options{Procs: 4}); err != nil {
+		if err := b.Validate(cfg, g, Options{Procs: 4}); err != nil {
 			t.Errorf("%s: valid decomposition rejected: %v", name, err)
 		}
 	}
@@ -560,7 +567,7 @@ func TestValidateCatchesBadDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(ser, cfg, g, Options{Procs: 99}); err != nil {
+	if err := ser.Validate(cfg, g, Options{Procs: 99}); err != nil {
 		t.Errorf("serial ignores Procs, want nil, got %v", err)
 	}
 
@@ -571,16 +578,16 @@ func TestValidateCatchesBadDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(m2, cfg, g, Options{Procs: 32}); err != nil {
+	if err := m2.Validate(cfg, g, Options{Procs: 32}); err != nil {
 		t.Errorf("mp2d: 32 ranks on 64x24 should fit as 8x4, got %v", err)
 	}
-	if err := Validate(m2, cfg, g, Options{Px: 32, Pr: 1}); err == nil {
+	if err := m2.Validate(cfg, g, Options{Px: 32, Pr: 1}); err == nil {
 		t.Error("mp2d: want width error for a 32x1 shape on 64 columns")
 	}
-	if err := Validate(m2, cfg, g, Options{Px: 1, Pr: 12}); err == nil {
+	if err := m2.Validate(cfg, g, Options{Px: 1, Pr: 12}); err == nil {
 		t.Error("mp2d: want height error for a 1x12 shape on 24 rows")
 	}
-	if err := Validate(m2, cfg, g, Options{Procs: 6, Px: 4}); err == nil {
+	if err := m2.Validate(cfg, g, Options{Procs: 6, Px: 4}); err == nil {
 		t.Error("mp2d: want error when px does not divide procs")
 	}
 }

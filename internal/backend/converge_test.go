@@ -111,7 +111,7 @@ func TestConvergenceControlValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, o := range bad {
-			if err := Validate(b, cfg, g, o); err == nil {
+			if err := b.Validate(cfg, g, o); err == nil {
 				t.Errorf("%s: Validate accepted %+v", name, o)
 			}
 			if _, err := b.Run(cfg, g, o, 1); err == nil {

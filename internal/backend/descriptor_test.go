@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/jet"
-	"repro/internal/par"
 	"repro/internal/solver"
 )
 
@@ -23,10 +22,6 @@ func TestAcceptRejectGrid(t *testing.T) {
 		o     Options
 	}{
 		{"base", Options{}},
-		{"v5", Options{Version: par.V5}},
-		{"v6", Options{Version: par.V6}},
-		{"v7", Options{Version: par.V7}},
-		{"v9", Options{Version: par.Version(9)}},
 		{"uniform", Options{Balance: BalanceUniform}},
 		{"flops", Options{Balance: BalanceFlops}},
 		{"measured", Options{Balance: BalanceMeasured}},
@@ -43,19 +38,21 @@ func TestAcceptRejectGrid(t *testing.T) {
 		{"2x2", Options{Px: 2, Pr: 2}},
 		{"stop-tol", Options{StopTol: 1e-3}},
 	}
-	//                    b v v v v u f m b c r f w g g 1 1 1 2 s
+	//                      b u f m b c r f w g g 1 1 1 2 s
 	want := map[string]string{
-		"hybrid":  "A A A A R A A A R A R R A A R A A R A A",
-		"mp2d":    "A A A R R A A A R A A R A A R A R A R A",
-		"mp2d:v6": "A R A R R A A A R A A R A A R A R A R A",
-		"mp:v5":   "A A R R R A A A R A R R A A R A A R A A",
-		"mp:v6":   "A R A R R A A A R A R R A A R A A R A A",
-		"mp:v7":   "A R R A R A A A R A R R A A R A A R A A",
-		"serial":  "A R R R R A R R R R R R R R R A R R A A",
-		"shm":     "A R R R R A R R R R R R R R R A R R A A",
+		"hybrid":    "A A A A R A R R A A R A A R A A",
+		"hybrid:v6": "A A A A R A R R A A R A A R A A",
+		"hybrid:v7": "A A A A R A R R A A R A A R A A",
+		"mp2d":      "A A A A R A A R A A R A R A R A",
+		"mp2d:v6":   "A A A A R A A R A A R A R A R A",
+		"mp:v5":     "A A A A R A R R A A R A A R A A",
+		"mp:v6":     "A A A A R A R R A A R A A R A A",
+		"mp:v7":     "A A A A R A R R A A R A A R A A",
+		"serial":    "A A R R R R R R R R R A R R A A",
+		"shm":       "A A R R R R R R R R R A R R A A",
 	}
 	if len(want) != len(Names()) {
-		t.Fatalf("table covers %d names, registry has %v", len(want), Names())
+		t.Fatalf("table covers %d names, backends are %v", len(want), Names())
 	}
 	for _, name := range Names() {
 		b, err := Get(name)
@@ -66,7 +63,7 @@ func TestAcceptRejectGrid(t *testing.T) {
 		for _, c := range cells {
 			o := c.o
 			o.Procs = 2
-			verr := Validate(b, cfg, g, o)
+			verr := b.Validate(cfg, g, o)
 			_, rerr := b.Run(cfg, g, o, 2)
 			if (verr == nil) != (rerr == nil) {
 				t.Errorf("%s %s: Validate and Run disagree (validate: %v, run: %v)", name, c.label, verr, rerr)

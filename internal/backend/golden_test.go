@@ -14,7 +14,6 @@ import (
 	"repro/internal/flux"
 	"repro/internal/grid"
 	"repro/internal/jet"
-	"repro/internal/par"
 	"repro/internal/scenario"
 	"repro/internal/solver"
 )
@@ -240,7 +239,7 @@ func TestGoldenOverlappedVariants(t *testing.T) {
 			{"mp2d:v6", Options{Px: 2, Pr: 2, Policy: solver.Fresh}},
 			{"mp2d:v6", Options{Px: 1, Pr: 3, Policy: solver.Fresh}},
 			{"mp2d:v6", Options{Px: 3, Pr: 2, Policy: solver.Fresh}},
-			{"hybrid", Options{Procs: 3, Workers: 2, Version: par.V6, Policy: solver.Fresh}},
+			{"hybrid:v6", Options{Procs: 3, Workers: 2, Policy: solver.Fresh}},
 		}
 	})
 }

@@ -5,12 +5,10 @@ import (
 	"testing"
 )
 
-// TestConcurrentResolve hammers the global registry from many
-// goroutines (run with -race): the service resolves backends while
-// other packages' init-time registrations may still be publishing, so
-// the table must be lock-guarded, not a bare map. Registration races
-// themselves are exercised in internal/registry, on private instances —
-// registering here would pollute the global name set other tests pin.
+// TestConcurrentResolve hammers the backend table from many goroutines
+// (run with -race): the service resolves backends from concurrently
+// executing runs, and the table is read without a lock, so nothing may
+// ever write it.
 func TestConcurrentResolve(t *testing.T) {
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -21,7 +19,7 @@ func TestConcurrentResolve(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				for _, name := range Names() {
 					if _, err := Get(name); err != nil {
-						t.Errorf("registered backend %q unresolvable: %v", name, err)
+						t.Errorf("backend %q unresolvable: %v", name, err)
 						return
 					}
 				}

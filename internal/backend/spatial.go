@@ -3,7 +3,6 @@ package backend
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/decomp"
@@ -33,21 +32,21 @@ const (
 	poolPerRank          // every rank's slab, over Workers workers each
 )
 
-// spatialBackend is every spatial registry name: one descriptor row of
-// the table below, with Validate, Run and NewPropagator written once on
-// top of it. Adding a backend is adding a row.
+// spatialBackend is every spatial backend name: one row of the table
+// below, with Validate, Run and NewPropagator written once on top of
+// it. Adding a backend is adding a row.
 type spatialBackend struct {
 	name string
-	// versions lists the communication strategies the name implements,
-	// default first; empty means no message layer. pinned marks a name
-	// that hard-wires its single version (mp:v5): a contradicting
-	// request is an error, not a downgrade.
-	versions []par.Version
-	pinned   bool
-	shape    shapeRule
-	pool     poolRule
+	// version is the communication strategy the name runs; zero means
+	// no message layer (serial, shm).
+	version par.Version
+	shape   shapeRule
+	pool    poolRule
 }
 
+// spatialBackends is the backend table: every (engine, version) pair
+// that runs has exactly one name. It is a literal, never written, so
+// concurrent runs read it without a lock.
 var spatialBackends = []spatialBackend{
 	// The single-processor reference the paper measures in Figure 2.
 	{name: "serial"},
@@ -55,27 +54,23 @@ var spatialBackends = []spatialBackend{
 	{name: "shm", pool: poolProcs},
 	// One goroutine per rank, halos through the PVM-like message layer;
 	// the name selects the paper's strategy (grouped, overlapped, de-burst).
-	{name: "mp:v5", versions: []par.Version{par.V5}, pinned: true, shape: shapeAxial},
-	{name: "mp:v6", versions: []par.Version{par.V6}, pinned: true, shape: shapeAxial},
-	{name: "mp:v7", versions: []par.Version{par.V7}, pinned: true, shape: shapeAxial},
+	{name: "mp:v5", version: par.V5, shape: shapeAxial},
+	{name: "mp:v6", version: par.V6, shape: shapeAxial},
+	{name: "mp:v7", version: par.V7, shape: shapeAxial},
 	// The rank grid raises the axial split's Nx/MinWidth rank ceiling to
 	// (Nx/MinWidth)*(Nr/MinHeight) and cuts the per-rank halo surface
 	// from 2*Nr to 2*(Nr/pr + Nx/px). V7's de-burst axial flux messages
 	// are not defined for it.
-	{name: "mp2d", versions: []par.Version{par.V5, par.V6}, shape: shapeGrid},
-	{name: "mp2d:v6", versions: []par.Version{par.V6}, pinned: true, shape: shapeGrid},
+	{name: "mp2d", version: par.V5, shape: shapeGrid},
+	{name: "mp2d:v6", version: par.V6, shape: shapeGrid},
 	// Ranks × DOALL, the ranks-within-node × threads-per-rank layout.
 	// Every kernel region is a loop over independent columns, so the
 	// composition keeps bitwise reproducibility for any rank and worker
 	// counts; under V6 each rank's interior core and edge frame are
 	// themselves fork-joined over the pool.
-	{name: "hybrid", versions: []par.Version{par.V5, par.V6, par.V7}, shape: shapeAxial, pool: poolPerRank},
-}
-
-func init() {
-	for _, b := range spatialBackends {
-		register(b)
-	}
+	{name: "hybrid", version: par.V5, shape: shapeAxial, pool: poolPerRank},
+	{name: "hybrid:v6", version: par.V6, shape: shapeAxial, pool: poolPerRank},
+	{name: "hybrid:v7", version: par.V7, shape: shapeAxial, pool: poolPerRank},
 }
 
 func (b spatialBackend) Name() string { return b.name }
@@ -84,10 +79,9 @@ func (b spatialBackend) Name() string { return b.name }
 // engine construction needs, resolved without building a slab or
 // running the measured warm-up.
 type plan struct {
-	version par.Version
-	px, pr  int // resolved rank grid; zero for a single slab
-	prob    *solver.Problem
-	ctl     solver.Control
+	px, pr int // resolved rank grid; zero for a single slab
+	prob   *solver.Problem
+	ctl    solver.Control
 }
 
 // resolve is the one option check of every spatial name. What a name
@@ -96,9 +90,6 @@ type plan struct {
 func (b spatialBackend) resolve(cfg jet.Config, g *grid.Grid, o Options) (plan, error) {
 	var p plan
 	var err error
-	if p.version, err = b.resolveVersion(o.Version); err != nil {
-		return p, err
-	}
 	if err := b.checkBalance(o); err != nil {
 		return p, err
 	}
@@ -143,42 +134,6 @@ func (b spatialBackend) resolve(cfg jet.Config, g *grid.Grid, o Options) (plan, 
 		return p, err
 	}
 	return p, par.WideFit(cfg.Viscous, o.Policy.Depth(), d)
-}
-
-// resolveVersion reconciles the version request with the descriptor:
-// zero picks the default, and every name rejects a version it does not
-// implement — never a silent downgrade.
-func (b spatialBackend) resolveVersion(v par.Version) (par.Version, error) {
-	switch {
-	case len(b.versions) == 0:
-		if v != 0 {
-			return 0, fmt.Errorf("backend: %s has no message layer, communication Version %d does not apply", b.name, int(v))
-		}
-		return 0, nil
-	case v == 0:
-		return b.versions[0], nil
-	case b.pinned && v != b.versions[0]:
-		// Point at the registry name that does implement the request:
-		// the version-suffixed sibling (mp:v6) or, where the requested
-		// version is the unsuffixed default, the base name (mp2d). A
-		// request no registered name implements gets no suggestion.
-		base, _, _ := strings.Cut(b.name, ":")
-		suggest := ""
-		for _, cand := range []string{fmt.Sprintf("%s:v%d", base, int(v)), base} {
-			if _, ok := backends.Get(cand); ok {
-				suggest = fmt.Sprintf(" (select %s instead)", cand)
-				break
-			}
-		}
-		return 0, fmt.Errorf("backend: %s pins communication Version %d, contradicting the requested Version %d%s",
-			b.name, int(b.versions[0]), int(v), suggest)
-	}
-	for _, s := range b.versions {
-		if v == s {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("backend: %s does not implement communication Version %d", b.name, int(v))
 }
 
 // checkBalance is the probe-free balance check: the mode name, the
@@ -227,7 +182,7 @@ func (b spatialBackend) runnerOptions(cfg jet.Config, g *grid.Grid, o Options, p
 	ro := par.Options{
 		Px:          p.px,
 		Pr:          p.pr,
-		Version:     p.version,
+		Version:     b.version,
 		Policy:      o.Policy,
 		CFL:         o.CFL,
 		ColWeights:  o.ColWeights,
@@ -308,19 +263,38 @@ func (in *instance) Close() {
 	}
 }
 
+// poolSize is the DOALL pool of every pooled slab: Procs workers for
+// the shm slab, and for each hybrid rank the explicit Workers or one
+// worker per host CPU spread evenly over the ranks. Zero means no pool.
+func (b spatialBackend) poolSize(o Options) int {
+	switch b.pool {
+	case poolProcs:
+		return o.procs()
+	case poolPerRank:
+		if o.Workers >= 1 {
+			return o.Workers
+		}
+		return max(1, runtime.NumCPU()/o.procs())
+	}
+	return 0
+}
+
+// width is the goroutines a run computes on: ranks (or the shm pool)
+// times each rank's pool.
+func (b spatialBackend) width(o Options) int {
+	ranks := o.procs()
+	if b.shape == shapeNone {
+		ranks = 1
+	}
+	return ranks * max(1, b.poolSize(o))
+}
+
 // build constructs the engine of a validated request and attaches the
 // descriptor's worker pools.
 func (b spatialBackend) build(cfg jet.Config, g *grid.Grid, o Options, p plan) (*instance, error) {
 	in := &instance{}
-	poolSize := 0
-	switch b.pool {
-	case poolProcs:
-		poolSize = o.procs()
-	case poolPerRank:
-		// Explicit, or one worker per host CPU spread evenly over the ranks.
-		if poolSize = o.Workers; poolSize < 1 {
-			poolSize = max(1, runtime.NumCPU()/o.procs())
-		}
+	poolSize := b.poolSize(o)
+	if b.pool == poolPerRank {
 		in.workers = poolSize
 	}
 	var slabs []*solver.Slab

@@ -161,7 +161,7 @@ func TestWideRejectedBySingleSlabBackends(t *testing.T) {
 			if name == "shm" {
 				o.Procs = 2
 			}
-			if err := Validate(b, cfg, g, o); err == nil {
+			if err := b.Validate(cfg, g, o); err == nil {
 				t.Errorf("%s: Validate accepted %+v", name, o)
 			}
 			if _, err := b.Run(cfg, g, o, 1); err == nil {
@@ -182,7 +182,7 @@ func TestWideValidateCatchesNarrowSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(b, cfg, g, Options{Procs: 8, Policy: solver.Wide(2)}); err == nil {
+	if err := b.Validate(cfg, g, Options{Procs: 8, Policy: solver.Wide(2)}); err == nil {
 		t.Error("mp:v5: 8 ranks on 64 columns accepted a 12-point shell")
 	}
 	// The radial direction is checked too: 12-row blocks cannot host it.
@@ -190,14 +190,14 @@ func TestWideValidateCatchesNarrowSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(m2, cfg, g, Options{Px: 1, Pr: 2, Policy: solver.Wide(2)}); err == nil {
+	if err := m2.Validate(cfg, g, Options{Px: 1, Pr: 2, Policy: solver.Wide(2)}); err == nil {
 		t.Error("mp2d: 12-row blocks accepted a 12-point radial shell")
 	}
 	// Group sizes beyond the world are caught at the same layer.
-	if err := Validate(b, cfg, g, Options{Procs: 2, ReduceGroup: 4}); err == nil {
+	if err := b.Validate(cfg, g, Options{Procs: 2, ReduceGroup: 4}); err == nil {
 		t.Error("mp:v5: reduce group 4 accepted on a 2-rank world")
 	}
-	if err := Validate(b, cfg, g, Options{Procs: 2, ReduceGroup: -1}); err == nil {
+	if err := b.Validate(cfg, g, Options{Procs: 2, ReduceGroup: -1}); err == nil {
 		t.Error("mp:v5: negative reduce group accepted")
 	}
 }
@@ -233,7 +233,7 @@ func FuzzWideHalo(f *testing.F) {
 			t.Fatal(err)
 		}
 		o := Options{Procs: procs, Policy: solver.Wide(depth)}
-		if err := Validate(b, cfg, g, o); err != nil {
+		if err := b.Validate(cfg, g, o); err != nil {
 			t.Skip() // shell does not fit this decomposition
 		}
 		ser, err := Get("serial")

@@ -9,8 +9,9 @@
 //	run, err := core.NewRun(core.Config{Nx: 125, Nr: 50, Steps: 200})
 //	res, err := run.Execute()
 //
-// Backends are selected by name through the registry ("serial", "shm",
-// "mp:v5", "mp:v6", "mp:v7", "mp2d", "mp2d:v6", "hybrid").
+// Backends are selected by name from the backend table ("serial", "shm",
+// "mp:v5", "mp:v6", "mp:v7", "mp2d", "mp2d:v6", "hybrid", "hybrid:v6",
+// "hybrid:v7"); the name alone selects the communication version.
 // See examples/ for complete programs and DESIGN.md for the system
 // inventory.
 package core
@@ -18,8 +19,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,9 +33,10 @@ import (
 )
 
 // Config describes one solver run. Zero values select the paper's
-// defaults (Navier-Stokes, grid 250x100, Version 5, Lagged halos).
+// defaults (Navier-Stokes, grid 250x100, the serial backend, Lagged
+// halos).
 type Config struct {
-	// Scenario names the flow problem in the internal/scenario registry
+	// Scenario names the flow problem in the internal/scenario table
 	// ("jet", "cavity", "channel"). Empty selects the jet. The scenario
 	// supplies the domain geometry (so Nx/Nr keep their meaning as
 	// resolution, but the physical extents are the scenario's) and, for
@@ -50,8 +50,10 @@ type Config struct {
 	// Steps: composite time steps (default 5000, the paper's runs).
 	Steps int
 	// Backend names the execution backend in the internal/backend
-	// registry ("serial", "shm", "mp:v5", "mp:v6", "mp:v7", "mp2d",
-	// "mp2d:v6", "hybrid"). Empty selects "serial".
+	// table ("serial", "shm", "mp:v5", "mp:v6", "mp:v7", "mp2d",
+	// "mp2d:v6", "hybrid", "hybrid:v6", "hybrid:v7"). The name alone
+	// selects the communication strategy (Version 5, 6 or 7; mp2d and
+	// hybrid run Version 5). Empty selects "serial".
 	Backend string
 	// Procs: ranks of the distributed backends, or workers of shm.
 	Procs int
@@ -61,11 +63,6 @@ type Config struct {
 	// Px, Pr: rank-grid shape of the mp2d backend (axial × radial).
 	// Zero picks the surface-minimizing shape for Procs ranks.
 	Px, Pr int
-	// Version: communication strategy 5, 6 or 7. Zero means the
-	// backend's default. It is passed to the registry, which rejects
-	// contradictions (e.g. Backend "mp:v5" with Version 6) and
-	// unimplemented strategies instead of ignoring it.
-	Version int
 	// Balance selects the decomposition cost model of the distributed
 	// backends: "uniform" (default, balanced point counts), "flops"
 	// (analytic per-column/per-row FLOP profile), or "measured" (a
@@ -163,26 +160,23 @@ func (c Config) jetConfig() jet.Config {
 //
 //   - zero-value defaults (grid, steps, procs) are filled in;
 //   - the empty Backend is named ("serial");
-//   - version aliasing: a version-pinned name implies its Version, and
-//     an explicit Version with a pinned sibling name moves onto it
-//     ({Backend: "mp2d", Version: 6} becomes {Backend: "mp2d:v6"}); a
-//     Version contradicting the pin is kept for the registry to reject;
 //   - scenario expansion: the default scenario is named, and Jet is
 //     resolved to the physical configuration the scenario actually runs
 //     (the wall-bounded scenarios pin their own physics, so a cavity
-//     run spelled with -euler is the same cavity run);
+//     run spelled with -euler is the same cavity run; on the jet, Euler
+//     together with a viscous Jet is a contradiction);
 //   - policy aliasing: HaloDepth 1 is exactly FreshHalos, ReduceGroup 1
 //     is the flat plan, empty Balance is "uniform", and a tolerance
 //     (StopTol or SteadyTol) with no cadence monitors every step;
 //   - serial runs one slab whatever width was requested.
 //
 // The normalization is deliberately syntactic: equivalences it cannot
-// see (an explicit Version equal to a backend's unstated default, a
-// zero Workers resolving to the host default) stay distinct keys, which
-// costs a cache hit but never aliases two different runs together.
-// Contradictions between fields are errors here; what only a registry
-// can judge (unknown names, a version a backend does not implement, a
-// decomposition that does not fit) is rejected by NewRun.
+// see (a zero Workers resolving to the host default) stay distinct
+// keys, which costs a cache hit but never aliases two different runs
+// together. Contradictions between fields are errors here; what only a
+// backend or scenario can judge (unknown names, an option a backend
+// has no use for, a decomposition that does not fit) is rejected by
+// NewRun.
 func (c Config) Canonical() (Config, error) {
 	if c.Procs == 0 && (c.Px > 0) != (c.Pr > 0) {
 		// A half-specified rank grid with no total width has no
@@ -191,12 +185,21 @@ func (c Config) Canonical() (Config, error) {
 		return Config{}, fmt.Errorf("core: half-specified rank grid (Px=%d, Pr=%d) with Procs unset; set both axes, or one axis plus Procs", c.Px, c.Pr)
 	}
 	c = c.withDefaults()
-	c.Backend, c.Version = foldVersion(c.Backend, c.Version)
 	sc, err := scenario.Get(c.Scenario)
 	if err != nil {
 		return Config{}, err
 	}
 	phys := sc.Config(c.jetConfig())
+	if c.Euler && c.Jet != nil && c.Jet.Viscous {
+		// Where the scenario runs the caller's viscosity (the jet), one
+		// half of the request would silently lose; a scenario that pins
+		// its own physics folds Euler away below.
+		inviscid := *c.Jet
+		inviscid.Viscous = false
+		if sc.Config(inviscid) != phys {
+			return Config{}, fmt.Errorf("core: Euler contradicts the viscous Jet configuration of the %s scenario; set Jet.Viscous false or drop Euler", c.Scenario)
+		}
+	}
 	c.Jet = &phys
 	c.Euler = !phys.Viscous
 	if c.Backend == "serial" {
@@ -226,29 +229,6 @@ func (c Config) Canonical() (Config, error) {
 	return c, nil
 }
 
-// foldVersion applies version aliasing to a registry name: a
-// version-pinned name ("mp:v5") implies its Version, and an explicit
-// Version with a registered pinned sibling moves onto that name. A
-// Version that contradicts the pin stays as spelled, so the registry
-// rejects the pair instead of one half silently winning.
-func foldVersion(name string, version int) (string, int) {
-	if _, suffix, ok := strings.Cut(name, ":v"); ok {
-		if v, err := strconv.Atoi(suffix); err == nil {
-			if version == 0 {
-				version = v
-			}
-			return name, version
-		}
-	}
-	if version != 0 {
-		alias := fmt.Sprintf("%s:v%d", name, version)
-		if _, err := backend.Get(alias); err == nil {
-			name = alias
-		}
-	}
-	return name, version
-}
-
 // options translates a canonical config into the backend layer's
 // options — the one place the two spellings meet.
 func (c Config) options() backend.Options {
@@ -265,7 +245,6 @@ func (c Config) options() backend.Options {
 		Workers:     c.Workers,
 		Px:          c.Px,
 		Pr:          c.Pr,
-		Version:     par.Version(c.Version),
 		Policy:      policy,
 		Balance:     c.Balance,
 		StopTol:     c.StopTol,
@@ -316,7 +295,7 @@ var (
 	ErrRunClosed = errors.New("core: run closed")
 )
 
-// Run is a configured solver run bound to a registry backend. A Run is
+// Run is a configured solver run bound to a named backend. A Run is
 // one-shot: the first Execute performs the run, any later (or
 // concurrently racing) Execute fails with ErrRunConsumed — re-running
 // silently on the same options was never defined behavior, and a
@@ -334,10 +313,10 @@ type Run struct {
 }
 
 // NewRun canonicalizes the configuration, resolves the scenario grid
-// and the backend from their registries, and checks the run against the
+// and the backend from their tables, and checks the run against the
 // backend (decomposition included). Every spelling Canonical folds
 // together is therefore the same Run, and every rejection originates in
-// Canonical, a registry, or backend.Validate.
+// Canonical, a table lookup, or the backend's Validate.
 func NewRun(c Config) (*Run, error) {
 	c, err := c.Canonical()
 	if err != nil {
@@ -356,7 +335,7 @@ func NewRun(c Config) (*Run, error) {
 		return nil, err
 	}
 	opts := c.options()
-	if err := backend.Validate(be, *c.Jet, g, opts); err != nil {
+	if err := be.Validate(*c.Jet, g, opts); err != nil {
 		return nil, err
 	}
 	return &Run{cfg: c, grid: g, be: be, opts: opts}, nil
@@ -415,9 +394,8 @@ func (r *Run) Backend() backend.Backend { return r.be }
 // consumes the Run: a second call — sequential or concurrently racing —
 // fails with ErrRunConsumed (ErrRunClosed after Close) instead of
 // silently re-running on the same options. Distinct Runs execute
-// concurrently and independently; their shared inputs (backend and
-// scenario registry entries, the grid cache) are immutable or
-// lock-guarded.
+// concurrently and independently; their shared inputs (the backend and
+// scenario tables, the grid cache) are immutable or lock-guarded.
 func (r *Run) Execute() (*Result, error) {
 	if !r.state.CompareAndSwap(runReady, runExecuted) {
 		if r.state.Load() == runClosed {

@@ -122,9 +122,7 @@ func TestCustomJetOverride(t *testing.T) {
 
 func TestDefaultsAndValidation(t *testing.T) {
 	c := Config{}.withDefaults()
-	// Version stays 0 — "the backend's default" — so that an explicit
-	// Backend like "mp:v6" is not contradicted by a default of 5.
-	if c.Nx != 250 || c.Nr != 100 || c.Steps != 5000 || c.Procs != 1 || c.Version != 0 {
+	if c.Nx != 250 || c.Nr != 100 || c.Steps != 5000 || c.Procs != 1 || c.Backend != "serial" {
 		t.Fatalf("defaults: %+v", c)
 	}
 	if _, err := NewRun(Config{Nx: 4, Nr: 4}); err == nil {
@@ -135,36 +133,42 @@ func TestDefaultsAndValidation(t *testing.T) {
 	}
 }
 
-// TestVersionReachesRegistry: Config.Version must feed the backend
-// registry with any Backend name, and contradictions must be rejected
-// at NewRun time, not silently downgraded.
+// TestVersionReachesRegistry: the backend name alone selects the
+// communication strategy, and the strategy it names reaches the engine
+// through NewRun — the de-burst rows book 6/4 of their Version-5
+// sibling's startups (two of the four Navier-Stokes exchanges split in
+// two), the overlapped rows exactly their sibling's.
 func TestVersionReachesRegistry(t *testing.T) {
-	base := Config{Nx: 64, Nr: 24, Steps: 2, Procs: 2}
-	for _, name := range []string{"mp2d", "hybrid"} {
-		c := base
-		c.Backend = name
-		c.Version = 6
-		if _, err := NewRun(c); err != nil {
-			t.Errorf("%s with Version 6: %v", name, err)
+	startups := func(name string) int64 {
+		t.Helper()
+		c := Config{Nx: 64, Nr: 24, Steps: 2, Procs: 2, Workers: 1, Backend: name}
+		run, err := NewRun(c)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-	bad := []Config{
-		{Nx: 64, Nr: 24, Steps: 2, Procs: 2, Backend: "mp:v5", Version: 6},
-		{Nx: 64, Nr: 24, Steps: 2, Procs: 2, Backend: "mp2d:v6", Version: 5},
-		{Nx: 64, Nr: 24, Steps: 2, Procs: 2, Backend: "mp2d", Version: 7},
-		{Nx: 64, Nr: 24, Steps: 2, Procs: 2, Backend: "serial", Version: 6},
-		{Nx: 64, Nr: 24, Steps: 2, Procs: 2, Backend: "shm", Version: 6},
-	}
-	for _, c := range bad {
-		if _, err := NewRun(c); err == nil {
-			t.Errorf("%s with Version %d: want contradiction error", c.Backend, c.Version)
+		res, err := run.Execute()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		if res.Backend != name {
+			t.Errorf("%s reported backend %q", name, res.Backend)
+		}
+		return res.Comm.Startups
 	}
-	// An empty Backend is serial, never a version-selected mp:vN.
-	c := base
-	c.Version = 6
-	if _, err := NewRun(c); err == nil {
-		t.Error("empty Backend with Version 6: want the serial backend's version rejection")
+	for _, c := range []struct {
+		name, v5 string
+		num, den int64
+	}{
+		{"mp:v6", "mp:v5", 1, 1},
+		{"mp:v7", "mp:v5", 3, 2},
+		{"mp2d:v6", "mp2d", 1, 1},
+		{"hybrid:v6", "hybrid", 1, 1},
+		{"hybrid:v7", "hybrid", 3, 2},
+	} {
+		got, base := startups(c.name), startups(c.v5)
+		if got != base*c.num/c.den {
+			t.Errorf("%s: %d startups, want %d/%d of %s's %d", c.name, got, c.num, c.den, c.v5, base)
+		}
 	}
 }
 
@@ -177,6 +181,7 @@ func TestResultReportsResolvedBackend(t *testing.T) {
 	}{
 		{Config{Nx: 64, Nr: 24, Steps: 2, Backend: "mp2d", Procs: 4}, "mp2d"},
 		{Config{Nx: 64, Nr: 24, Steps: 2, Backend: "hybrid", Procs: 2, Workers: 2}, "hybrid"},
+		{Config{Nx: 64, Nr: 24, Steps: 2, Backend: "hybrid:v7", Procs: 2, Workers: 2}, "hybrid:v7"},
 		{Config{Nx: 64, Nr: 24, Steps: 2, Backend: "shm", Procs: 2}, "shm"},
 		{Config{Nx: 64, Nr: 24, Steps: 2, Backend: "serial"}, "serial"},
 		{Config{Nx: 64, Nr: 24, Steps: 2, Procs: 2}, "serial"},
@@ -276,6 +281,6 @@ func TestBackendNameSelectsRegistry(t *testing.T) {
 	c.Backend = "hybrid"
 	c.Procs = 32 // 64 columns / 32 ranks is below the stencil width
 	if _, err := NewRun(c); err == nil {
-		t.Error("want early decomposition error from backend.Validate")
+		t.Error("want early decomposition error from the backend's Validate")
 	}
 }

@@ -184,29 +184,19 @@ func TestCanonical(t *testing.T) {
 		t.Fatal("balance not defaulted")
 	}
 
-	// A redundant explicit Version and the version-pinned name converge.
-	m := Config{Backend: "mp:v7", Version: 7, Procs: 2, Nx: 64, Nr: 24, Steps: 10}
-	cm, err := m.Canonical()
+	// Euler against a viscous caller Jet is a contradiction on the jet,
+	// whose physics the caller controls; a pinned-physics scenario folds
+	// Euler away whatever Jet says.
+	paper := jet.Paper()
+	if _, err := (Config{Euler: true, Jet: &paper, Nx: 64, Nr: 24}).Canonical(); err == nil {
+		t.Fatal("Euler with a viscous jet configuration accepted")
+	}
+	cav, err := (Config{Scenario: "cavity", Euler: true, Jet: &paper, Nx: 33, Nr: 32}).Canonical()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("cavity with Euler: %v", err)
 	}
-	n := Config{Backend: "mp:v7", Procs: 2, Nx: 64, Nr: 24, Steps: 10}
-	cn, err := n.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cm.Backend != cn.Backend || cm.Version != cn.Version {
-		t.Fatalf("explicit-version and pinned-name spellings diverge: %+v vs %+v", cm, cn)
-	}
-
-	// Explicit version folds onto the registered alias name.
-	v := Config{Backend: "mp2d", Version: 6, Procs: 4, Nx: 64, Nr: 24, Steps: 10}
-	cv, err := v.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cv.Backend != "mp2d:v6" {
-		t.Fatalf("mp2d + Version 6 canonicalized to %q", cv.Backend)
+	if cav.Euler != !cav.Jet.Viscous {
+		t.Fatalf("cavity Euler not recomputed from its physics: %+v", cav)
 	}
 
 	// HaloDepth 1 is the fresh policy; StopTol implies a cadence.
@@ -246,13 +236,10 @@ func aliasSpellings() []Config {
 		{Procs: 4}, // empty Backend is serial: one slab whatever the width
 		{Backend: "serial"},
 		{Scenario: "jet", Backend: "serial", Balance: "uniform"},
-		{Backend: "mp2d", Version: 6, Procs: 4},
 		{Backend: "mp2d:v6", Procs: 4},
 		{Backend: "mp2d", Px: 2, Pr: 1}, // the shape defines the width
-		{Backend: "mp:v7", Version: 7, Procs: 2},
 		{Backend: "mp:v7", Procs: 2},
-		{Backend: "mp", Version: 5, Procs: 2},
-		{Backend: "hybrid", Version: 6, Procs: 2, Workers: 1, ReduceGroup: 1},
+		{Backend: "hybrid:v6", Procs: 2, Workers: 1, ReduceGroup: 1},
 		{Scenario: "cavity", Euler: true, Nx: 33, Nr: 32},
 		{Scenario: "cavity", Nx: 33, Nr: 32},
 		{Backend: "mp:v5", Procs: 2, HaloDepth: 1},
@@ -337,33 +324,23 @@ func TestNewRunEqualsCanonicalRun(t *testing.T) {
 // disagree with Canonical (and so jetsim with jetsimd) before it was
 // built on it; Canonical's reading is the one that stands.
 func TestNewRunFollowsCanonical(t *testing.T) {
-	exec := func(c Config) *Result {
-		t.Helper()
-		run, err := NewRun(c)
-		if err != nil {
-			t.Fatalf("%+v: %v", c, err)
-		}
-		res, err := run.Execute()
-		if err != nil {
-			t.Fatalf("%+v: %v", c, err)
-		}
-		return res
-	}
-	// Results carry the canonical backend name.
+	// Results carry the canonical width: serial is one slab whatever
+	// Procs says.
 	c := small()
-	c.Backend, c.Version, c.Procs = "mp2d", 6, 2
-	if res := exec(c); res.Backend != "mp2d:v6" {
-		t.Errorf("mp2d + Version 6 reported backend %q, want mp2d:v6", res.Backend)
+	c.Procs = 4
+	run, err := NewRun(c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A base name with only version-pinned registrations resolves
-	// through version aliasing.
-	c = small()
-	c.Backend, c.Version, c.Procs = "mp", 5, 2
-	if res := exec(c); res.Backend != "mp:v5" {
-		t.Errorf("mp + Version 5 reported backend %q, want mp:v5", res.Backend)
+	res, err := run.Execute()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The default scenario is the registered jet, whose Problem
-	// validates the physics at construction, not first at Execute.
+	if res.Backend != "serial" || res.Procs != 1 {
+		t.Errorf("serial with Procs 4 reported %s on %d procs, want serial on 1", res.Backend, res.Procs)
+	}
+	// The default scenario is the jet, whose Problem validates the
+	// physics at construction, not first at Execute.
 	c = small()
 	jc := jet.Paper()
 	jc.Theta = -1
@@ -371,18 +348,11 @@ func TestNewRunFollowsCanonical(t *testing.T) {
 	if _, err := NewRun(c); err == nil {
 		t.Error("invalid jet physics accepted by NewRun")
 	}
-	// A Version contradicting a pinned name survives canonicalization,
-	// so the registry — not a silent fold — answers it.
+	// A contradiction Canonical rejects never reaches a backend.
 	c = small()
-	c.Backend, c.Version, c.Procs = "mp:v5", 6, 2
-	cc, err := c.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc.Backend != "mp:v5" || cc.Version != 6 {
-		t.Errorf("contradicting version folded away: %+v", cc)
-	}
+	jc = jet.Paper()
+	c.Euler, c.Jet = true, &jc
 	if _, err := NewRun(c); err == nil {
-		t.Error("mp:v5 with Version 6 accepted")
+		t.Error("Euler with a viscous jet configuration accepted by NewRun")
 	}
 }

@@ -47,38 +47,47 @@ func uniformWeights(weights []float64) bool {
 	return true
 }
 
+// reachStep advances the reachability dynamic program by one block
+// level: cur[j] is set when some cut position i reachable at the
+// previous level (prev[i]) opens a block [i, j) at least min wide whose
+// summed weight is at most c. pre is the weight prefix-sum array (len
+// n+1) and cnt a scratch array (len n+2): prefix counts of reachable
+// positions turn "any reachable i in [lb, j-min]" into one subtraction,
+// and lb only moves forward with j, so a level costs O(n). (Greedy
+// maximal extension is wrong here — the minimum width can force an
+// overweight block that a shorter earlier cut would have avoided.)
+func reachStep(pre []float64, prev, cur []bool, cnt []int, min int, c float64) {
+	n := len(prev) - 1
+	for i := 0; i <= n; i++ {
+		cnt[i+1] = cnt[i]
+		if prev[i] {
+			cnt[i+1]++
+		}
+	}
+	lb := 0
+	for j := 0; j <= n; j++ {
+		cur[j] = false
+		if j < min {
+			continue
+		}
+		for pre[lb] < pre[j]-c {
+			lb++
+		}
+		if hi := j - min; hi >= lb && cnt[hi+1]-cnt[lb] > 0 {
+			cur[j] = true
+		}
+	}
+}
+
 // feasible reports whether n indices can be cut into p contiguous
 // blocks, each at least min wide and each with summed weight at most c.
-// pre is the weight prefix-sum array (len n+1). Dynamic program over
-// block counts: a sliding window of reachable cut positions, O(n) per
-// block level (greedy maximal extension is wrong here — the minimum
-// width can force an overweight block that a shorter earlier cut would
-// have avoided).
 func feasible(pre []float64, n, p, min int, c float64) bool {
 	prev := make([]bool, n+1)
 	cur := make([]bool, n+1)
 	cnt := make([]int, n+2)
 	prev[0] = true
 	for r := 1; r <= p; r++ {
-		for i := 0; i <= n; i++ {
-			cnt[i+1] = cnt[i]
-			if prev[i] {
-				cnt[i+1]++
-			}
-		}
-		lb := 0
-		for j := 0; j <= n; j++ {
-			cur[j] = false
-			if j < min {
-				continue
-			}
-			for pre[lb] < pre[j]-c {
-				lb++
-			}
-			if hi := j - min; hi >= lb && cnt[hi+1]-cnt[lb] > 0 {
-				cur[j] = true
-			}
-		}
+		reachStep(pre, prev, cur, cnt, min, c)
 		prev, cur = cur, prev
 	}
 	return prev[n]
@@ -94,24 +103,8 @@ func reconstruct(pre []float64, n, p, min int, c float64) []int {
 	reach[0][0] = true
 	cnt := make([]int, n+2)
 	for r := 1; r <= p; r++ {
-		prev := reach[r-1]
-		cur := make([]bool, n+1)
-		for i := 0; i <= n; i++ {
-			cnt[i+1] = cnt[i]
-			if prev[i] {
-				cnt[i+1]++
-			}
-		}
-		lb := 0
-		for j := min; j <= n; j++ {
-			for pre[lb] < pre[j]-c {
-				lb++
-			}
-			if hi := j - min; hi >= lb && cnt[hi+1]-cnt[lb] > 0 {
-				cur[j] = true
-			}
-		}
-		reach[r] = cur
+		reach[r] = make([]bool, n+1)
+		reachStep(pre, reach[r-1], reach[r], cnt, min, c)
 	}
 	starts := make([]int, p+1)
 	starts[p] = n

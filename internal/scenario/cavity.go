@@ -81,14 +81,12 @@ func (cavityScenario) Problem(cfg jet.Config, g *grid.Grid) (*solver.Problem, er
 // work into the energy forever, so the conserved-state residual floors
 // at the dissipation rate while the velocity field freezes. Stop on
 // velocity steadiness instead (the rule the Ghia validation test used
-// inline before the registry owned it).
+// inline before the scenario owned it).
 func (cavityScenario) Convergence() Criterion { return ConvergeSteadiness }
 
 func (cavityScenario) Claims() []string {
 	return []string{"CAV-ghia-centerline", "CAV-parity"}
 }
-
-func init() { Register(cavityScenario{}) }
 
 // GhiaRe100 is the u-velocity along the vertical centerline x = 0.5 of
 // the Re=100 lid-driven cavity from Ghia, Ghia & Shin, "High-Re

@@ -91,5 +91,3 @@ func (channelScenario) Convergence() Criterion { return ConvergeResidual }
 func (channelScenario) Claims() []string {
 	return []string{"CHAN-parity", "CHAN-mass-flux"}
 }
-
-func init() { Register(channelScenario{}) }

@@ -7,9 +7,9 @@ import (
 )
 
 // jetScenario is the excited axisymmetric jet of the source paper —
-// registration #1. Its Problem is entirely zero-valued, so every
-// backend takes exactly the built-in code paths: eigenfunction inflow,
-// axis mirror, far-field top, characteristic outflow.
+// the first row of the table. Its Problem is entirely zero-valued, so
+// every backend takes exactly the built-in code paths: eigenfunction
+// inflow, axis mirror, far-field top, characteristic outflow.
 type jetScenario struct{}
 
 func (jetScenario) Name() string { return "jet" }
@@ -43,5 +43,3 @@ func (jetScenario) Claims() []string {
 		"T1-compute-ratio", "F2-mflops", "F13-weighted-balance", "CONV-early-stop",
 	}
 }
-
-func init() { Register(jetScenario{}) }

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// TestConcurrentResolve hammers the global scenario registry from many
+// TestConcurrentResolve hammers the scenario table from many
 // goroutines (run with -race) — the multi-tenant service resolves
-// scenarios concurrently, so the table must be lock-guarded. Write
-// races are exercised in internal/registry on private instances, to
-// keep the global name set other tests pin unpolluted.
+// scenarios concurrently, and the table is read without a lock, so
+// nothing may ever write it.
 func TestConcurrentResolve(t *testing.T) {
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -20,7 +19,7 @@ func TestConcurrentResolve(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				for _, name := range Names() {
 					if _, err := Get(name); err != nil {
-						t.Errorf("registered scenario %q unresolvable: %v", name, err)
+						t.Errorf("scenario %q unresolvable: %v", name, err)
 						return
 					}
 				}

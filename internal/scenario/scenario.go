@@ -1,21 +1,21 @@
-// Package scenario is the flow-problem registry, mirroring the backend
-// registry: each Scenario binds the general numerics substrate
+// Package scenario is the flow-problem table, mirroring the backend
+// table: each Scenario binds the general numerics substrate
 // (flux/scheme/bc/grid/solver) to one physical flow — domain geometry,
 // physical configuration, boundary conditions, initial state, and the
-// study claims it grounds. The excited jet of the source paper is
-// registration #1; the lid-driven cavity and the channel flow exercise
+// study claims it grounds. The excited jet of the source paper is the
+// first row; the lid-driven cavity and the channel flow exercise
 // wall-bounded and inflow–outflow boundary compositions on the same
-// kernels. Every registered scenario runs on every registered backend,
+// kernels. Every scenario runs on every backend,
 // and the backend parity sweep pins each one bitwise against serial.
 package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/grid"
 	"repro/internal/jet"
-	"repro/internal/registry"
 	"repro/internal/solver"
 )
 
@@ -23,8 +23,8 @@ import (
 // of a scenario stops on. Open flows drive the conserved-state residual
 // to zero; closed wall-driven flows never do (the energy keeps absorbing
 // wall work at the dissipation rate) and must watch the velocity field
-// instead — the distinction PR 7 documented in DESIGN §4a and this
-// registry now owns per scenario.
+// instead — the distinction DESIGN §4a documents and this table owns
+// per scenario.
 type Criterion int
 
 const (
@@ -46,7 +46,7 @@ func (c Criterion) String() string {
 
 // Scenario describes one registered flow problem end to end.
 type Scenario interface {
-	// Name is the registry key (the -scenario flag value).
+	// Name is the table key (the -scenario flag value).
 	Name() string
 	// Describe is a one-line summary for listings and docs.
 	Describe() string
@@ -70,28 +70,26 @@ type Scenario interface {
 	Claims() []string
 }
 
-// scenarios is the registry table — the mutex-guarded registry type,
-// not a bare map, because a serving process resolves scenarios from
-// concurrently executing runs (see internal/registry).
-var scenarios = registry.New[Scenario]()
+// scenarios is the scenario table. It is a literal, never written, so
+// concurrent runs read it without a lock.
+var scenarios = []Scenario{jetScenario{}, cavityScenario{}, channelScenario{}}
 
-// Register adds a scenario to the registry; a duplicate name panics
-// (registration is init-time wiring, exactly like the backends).
-func Register(s Scenario) {
-	if !scenarios.Add(s.Name(), s) {
-		panic(fmt.Sprintf("scenario: duplicate registration of %q", s.Name()))
-	}
-}
-
-// Get looks a scenario up by name; unknown names list the registry.
+// Get looks a scenario up by name; unknown names list the table.
 func Get(name string) (Scenario, error) {
-	if s, ok := scenarios.Get(name); ok {
-		return s, nil
+	for _, s := range scenarios {
+		if s.Name() == name {
+			return s, nil
+		}
 	}
 	return nil, fmt.Errorf("scenario: unknown scenario %q (available: %s)", name, strings.Join(Names(), ", "))
 }
 
-// Names returns the sorted registered scenario names.
+// Names returns the sorted scenario names.
 func Names() []string {
-	return scenarios.Names()
+	names := make([]string, len(scenarios))
+	for i, s := range scenarios {
+		names[i] = s.Name()
+	}
+	slices.Sort(names)
+	return names
 }

@@ -46,15 +46,6 @@ func TestGetUnknownListsAvailable(t *testing.T) {
 	}
 }
 
-func TestDuplicateRegisterPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	Register(jetScenario{})
-}
-
 // TestJetScenarioIsTransparent pins the jet registration to the
 // pre-registry behaviour: caller's physics passed through untouched,
 // the paper's 50x5 domain, and a problem whose zero fields select every

@@ -16,7 +16,7 @@ import (
 // Key returns the cache identity of a configuration: the SHA-256 of its
 // canonical form. Two configs that Canonical maps onto the same
 // normalized run share a key — and therefore a cache line — however
-// they were spelled (version aliases of a registry name, implied defaults,
+// they were spelled (implied defaults, halo-policy aliases,
 // scenario-pinned physics).
 func Key(c core.Config) (string, error) {
 	cc, err := c.Canonical()

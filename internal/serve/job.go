@@ -27,7 +27,6 @@ type Job struct {
 	Workers  int    `json:"workers,omitempty"`
 	Px       int    `json:"px,omitempty"`
 	Pr       int    `json:"pr,omitempty"`
-	Version  int    `json:"version,omitempty"`
 	Balance  string `json:"balance,omitempty"`
 	Fresh    bool   `json:"fresh,omitempty"`
 	// HaloDepth/ReduceGroup/Tol/ReduceEvery mirror the CLI flags.
@@ -54,7 +53,6 @@ func (j Job) Config() core.Config {
 		Euler:    j.Euler,
 		Nx:       j.Nx, Nr: j.Nr, Steps: j.Steps,
 		Procs: j.Procs, Workers: j.Workers, Px: j.Px, Pr: j.Pr,
-		Version:     j.Version,
 		Balance:     j.Balance,
 		FreshHalos:  j.Fresh,
 		HaloDepth:   j.HaloDepth,

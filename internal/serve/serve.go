@@ -3,13 +3,13 @@
 // concurrently executing solver runs onto the machine, a config-hash
 // result cache in front of it, and shared immutable per-scenario data
 // behind it. It is the first place two solver runs execute
-// concurrently inside one process, which is why the registries,
+// concurrently inside one process, which is why the name tables,
 // lifecycle, and parity tests around it are concurrency-hardened.
 //
 // Request flow of Submit:
 //
-//  1. the Config is canonicalized (core.Config.Canonical — backend and
-//     version aliasing, zero-value defaults, scenario expansion) and
+//  1. the Config is canonicalized (core.Config.Canonical — zero-value
+//     defaults, scenario expansion, halo-policy aliasing) and
 //     hashed field by field (the key is derived from the struct
 //     definition, see keyPlan), so every alias spelling of the same run
 //     shares one cache line and no field can be left out of it;
@@ -46,6 +46,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/solver"
@@ -229,7 +230,10 @@ func (s *Scheduler) serve(cfg core.Config) (*Reply, error) {
 	if err != nil {
 		return nil, err
 	}
-	width := s.widthOf(cc)
+	width, err := s.widthOf(cc)
+	if err != nil {
+		return nil, err
+	}
 
 	s.mu.Lock()
 	if e, ok := s.results[key]; ok {
@@ -300,21 +304,15 @@ func runCold(cc core.Config) (*core.Result, error) {
 }
 
 // widthOf is the admission width of a canonical config: the goroutines
-// the run computes on — ranks (or shm workers) × per-rank workers —
-// clamped to the slot pool so an oversubscribed job degenerates to "the
-// whole machine" instead of never being admitted.
-func (s *Scheduler) widthOf(cc core.Config) int {
-	w := cc.Procs
-	if cc.Backend == "hybrid" {
-		per := cc.Workers
-		if per <= 0 {
-			// The hybrid backend's host default: NumCPU spread over the
-			// ranks, at least one worker each.
-			per = max(1, runtime.NumCPU()/cc.Procs)
-		}
-		w *= per
+// the run computes on (backend.Width) clamped to the slot pool, so an
+// oversubscribed job degenerates to "the whole machine" instead of
+// never being admitted.
+func (s *Scheduler) widthOf(cc core.Config) (int, error) {
+	w, err := backend.Width(cc.Backend, backend.Options{Procs: cc.Procs, Workers: cc.Workers})
+	if err != nil {
+		return 0, err
 	}
-	return min(max(w, 1), s.slots)
+	return min(max(w, 1), s.slots), nil
 }
 
 // flopsPerStep prices one composite step of the job's scenario

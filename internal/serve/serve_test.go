@@ -428,8 +428,6 @@ func TestKeyAliasing(t *testing.T) {
 	same := [][2]core.Config{
 		{{Procs: 4, Nx: 64, Nr: 24, Steps: 5}, // empty Backend is serial: one slab whatever the width
 			{Backend: "serial", Nx: 64, Nr: 24, Steps: 5}},
-		{{Backend: "mp2d", Version: 6, Procs: 4, Nx: 64, Nr: 24, Steps: 5},
-			{Backend: "mp2d:v6", Procs: 4, Nx: 64, Nr: 24, Steps: 5}},
 		{{Scenario: "cavity", Euler: true, Nx: 33, Nr: 32, Steps: 5},
 			{Scenario: "cavity", Nx: 33, Nr: 32, Steps: 5}},
 		{{Backend: "mp:v5", Procs: 2, HaloDepth: 1, Nx: 64, Nr: 24, Steps: 5},
@@ -485,7 +483,6 @@ var keyPerturbed = map[string]any{
 	"Workers":     2,
 	"Px":          2,
 	"Pr":          2,
-	"Version":     6,
 	"Balance":     "flops",
 	"FreshHalos":  true,
 	"HaloDepth":   2,
@@ -504,41 +501,57 @@ var keyPerturbed = map[string]any{
 	"Jet.Viscous":    false,
 }
 
-var keyFolded = map[string]func(*core.Config){
+// keyFolded respellings run on their own base: Euler folds only where
+// the scenario pins the physics (on the jet, Euler against a viscous
+// Jet is an error, not a fold).
+var keyFolded = map[string]struct {
+	base    core.Config
+	respell func(*core.Config)
+}{
 	// Recomputed from the resolved Jet.Viscous.
-	"Euler": func(c *core.Config) { c.Euler = !c.Euler },
+	"Euler": {core.Config{Scenario: "cavity", Nx: 33, Nr: 32, Steps: 8},
+		func(c *core.Config) { c.Euler = !c.Euler }},
 	// The pointer is not identity; the values it points to are.
-	"Jet": func(c *core.Config) { jc := *c.Jet; c.Jet = &jc },
+	"Jet": {keyBase, func(c *core.Config) { jc := *c.Jet; c.Jet = &jc }},
 }
+
+// keyBase is the run every perturbation of TestKeyCoversEveryField
+// starts from.
+var keyBase = core.Config{Nx: 64, Nr: 24, Steps: 8, Backend: "mp2d", Procs: 2}
 
 // TestKeyCoversEveryField walks core.Config and jet.Config by
 // reflection: perturbing each field on a canonical base must change
 // serve.Key, unless the field is recorded as folded by Canonical — and
-// then its respelling must not change it.
+// then its respelling must not change it. A perturbation or respelling
+// Canonical rejects fails either way: an error is not a key.
 func TestKeyCoversEveryField(t *testing.T) {
-	base, err := core.Config{Nx: 64, Nr: 24, Steps: 8, Backend: "mp2d", Procs: 2}.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// moved reports whether set changes the key of the base.
-	moved := func(set func(*core.Config)) bool {
+	// moved reports whether set changes the key of the canonical base.
+	moved := func(name string, spelled core.Config, set func(*core.Config)) bool {
+		t.Helper()
+		base, err := spelled.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
 		c := base
 		jc := *base.Jet
 		c.Jet = &jc
 		want := keyOf(c)
 		set(&c)
 		got, err := Key(c)
-		return err == nil && got != want
+		if err != nil {
+			t.Errorf("%s: Canonical rejected the changed config: %v", name, err)
+		}
+		return got != want
 	}
 	check := func(name string, set func(c *core.Config, v reflect.Value)) {
 		v, perturbed := keyPerturbed[name]
-		respell, folded := keyFolded[name]
+		fold, folded := keyFolded[name]
 		switch {
 		case perturbed == folded:
 			t.Errorf("field %s needs exactly one decision: a keyPerturbed value (run identity) or a keyFolded respelling (folded by Canonical)", name)
-		case folded && moved(respell):
+		case folded && moved(name, fold.base, fold.respell):
 			t.Errorf("%s is recorded as folded but its respelling moves the key", name)
-		case perturbed && !moved(func(c *core.Config) { set(c, reflect.ValueOf(v)) }):
+		case perturbed && !moved(name, keyBase, func(c *core.Config) { set(c, reflect.ValueOf(v)) }):
 			t.Errorf("configs differing only in %s share a cache key", name)
 		}
 	}
@@ -634,11 +647,25 @@ func TestJobCoversConfig(t *testing.T) {
 }
 
 // TestAdmissionCountsRankWorkers: a hybrid job computes on ranks ×
-// per-rank workers, and admission counts every one of them.
+// per-rank workers — every hybrid row, whatever its version — and
+// admission counts every one of them, the host-default pool included.
 func TestAdmissionCountsRankWorkers(t *testing.T) {
-	hybrid := core.Config{Backend: "hybrid", Procs: 2, Workers: 3}
-	if w := New(Options{Slots: 64}).widthOf(hybrid); w != 6 {
-		t.Errorf("2 ranks × 3 workers admitted at width %d, want 6", w)
+	s := New(Options{Slots: 64})
+	perRank := max(1, runtime.NumCPU()/2) // the backend's host default for 2 ranks
+	for _, name := range []string{"hybrid", "hybrid:v6", "hybrid:v7"} {
+		for _, c := range []struct{ workers, want int }{{3, 6}, {0, 2 * perRank}} {
+			cc, err := core.Config{Backend: name, Procs: 2, Workers: c.workers}.Canonical()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := s.widthOf(cc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w != c.want {
+				t.Errorf("%s, 2 ranks, Workers %d: admitted at width %d, want %d", name, c.workers, w, c.want)
+			}
+		}
 	}
 }
 
@@ -649,13 +676,13 @@ func TestAdmissionCountsRankWorkers(t *testing.T) {
 func TestEqualKeysEqualFields(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	pick := func(n int) int { return rng.Intn(n) }
-	backends := []string{"", "serial", "shm", "mp:v5", "mp:v6", "mp", "mp2d", "mp2d:v6", "hybrid"}
+	backends := []string{"", "serial", "shm", "mp:v5", "mp:v6", "mp2d", "mp2d:v6", "hybrid", "hybrid:v6"}
 	byKey := map[string]string{}
 	ran, shared := 0, 0
 	for draw := 0; draw < 300; draw++ {
 		c := core.Config{Nx: 48, Nr: 20, Steps: 3,
 			Backend: backends[pick(len(backends))], Procs: pick(3),
-			Version: []int{0, 0, 5, 6}[pick(4)], FreshHalos: pick(2) == 0, HaloDepth: pick(3),
+			FreshHalos: pick(2) == 0, HaloDepth: pick(3),
 			ReduceGroup: pick(2), Euler: pick(4) == 0}
 		if pick(2) == 0 {
 			c.Scenario = "jet"

@@ -153,7 +153,7 @@ func Claims() []Claim {
 			ID:        "F5-comm-comparable",
 			Statement: "for N-S at 16 processors the communication time is comparable to computation plus PVM setup (Figure 5)",
 			Check: func() (string, bool, error) {
-				_, busy, wait, err := simSeries(machine.LACE560AllnodeS, trace.PaperNS(), 5)
+				_, busy, wait, err := simSeries(machine.LACE560AllnodeS, true, 5)
 				if err != nil {
 					return "", false, err
 				}
@@ -167,7 +167,7 @@ func Claims() []Claim {
 			ID:        "F5-ethernet-superlinear",
 			Statement: "with Ethernet the non-overlapped communication time increases superlinearly with processors (Figure 5)",
 			Check: func() (string, bool, error) {
-				_, _, wait, err := simSeries(machine.LACE560Ethernet, trace.PaperNS(), 5)
+				_, _, wait, err := simSeries(machine.LACE560Ethernet, true, 5)
 				if err != nil {
 					return "", false, err
 				}

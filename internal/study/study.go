@@ -6,6 +6,8 @@ package study
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/decomp"
@@ -202,14 +204,35 @@ func LACEPlatforms() []machine.Platform {
 	}
 }
 
-// simSeries sweeps processor counts on a platform and returns total,
-// busy, and wait series.
-func simSeries(p machine.Platform, ch trace.Characterization, version int) (total, busy, wait stats.Series, err error) {
+// simKey identifies one co-simulated processor sweep: a platform of
+// the machine package (by name), the paper's viscous or inviscid
+// workload, and the communication version.
+type simKey struct {
+	platform string
+	viscous  bool
+	version  int
+}
+
+// simMemo maps a simKey to its [3]stats.Series sweep. The co-simulation
+// is deterministic, and the figures and claims read the same sweeps
+// many times over (each F9 claim re-reads all of Figure 9).
+var simMemo sync.Map
+
+// simSeries sweeps processor counts on a platform for the paper's
+// workload and returns total, busy, and wait series. Each sweep is
+// simulated once; every call returns its own copies, so no caller's
+// edit reaches another.
+func simSeries(p machine.Platform, viscous bool, version int) (total, busy, wait stats.Series, err error) {
+	k := simKey{platform: p.Name, viscous: viscous, version: version}
+	if s, ok := simMemo.Load(k); ok {
+		ss := s.([3]stats.Series)
+		return cloneSeries(ss[0]), cloneSeries(ss[1]), cloneSeries(ss[2]), nil
+	}
 	total = stats.Series{Name: p.Name}
 	busy = stats.Series{Name: p.Name + " busy"}
 	wait = stats.Series{Name: p.Name + " non-overlapped comm"}
 	for _, np := range ProcCounts(p.MaxProcs) {
-		o, e := p.Simulate(ch, np, version)
+		o, e := p.Simulate(charFor(viscous), np, version)
 		if e != nil {
 			return total, busy, wait, e
 		}
@@ -217,15 +240,25 @@ func simSeries(p machine.Platform, ch trace.Characterization, version int) (tota
 		busy.Add(float64(np), o.BusySeconds)
 		wait.Add(float64(np), o.WaitSeconds)
 	}
+	simMemo.Store(k, [3]stats.Series{cloneSeries(total), cloneSeries(busy), cloneSeries(wait)})
 	return total, busy, wait, nil
+}
+
+// cloneSeries copies a series' points.
+func cloneSeries(s stats.Series) stats.Series {
+	return stats.Series{Name: s.Name, X: slices.Clone(s.X), Y: slices.Clone(s.Y)}
 }
 
 // FigLACE produces the Figure 3 (viscous) or Figure 4 (Euler) series.
 func FigLACE(viscous bool) ([]stats.Series, error) {
-	ch := charFor(viscous)
+	return totals(LACEPlatforms(), viscous)
+}
+
+// totals returns the Version-5 total-time sweep of every platform.
+func totals(plats []machine.Platform, viscous bool) ([]stats.Series, error) {
 	var out []stats.Series
-	for _, p := range LACEPlatforms() {
-		tot, _, _, err := simSeries(p, ch, 5)
+	for _, p := range plats {
+		tot, _, _, err := simSeries(p, viscous, 5)
 		if err != nil {
 			return nil, err
 		}
@@ -237,16 +270,15 @@ func FigLACE(viscous bool) ([]stats.Series, error) {
 // FigLACEComponents produces Figure 5/6: busy and non-overlapped
 // communication for ALLNODE-F, ALLNODE-S and the Ethernet wait curve.
 func FigLACEComponents(viscous bool) ([]stats.Series, error) {
-	ch := charFor(viscous)
 	var out []stats.Series
 	for _, p := range []machine.Platform{machine.LACE590AllnodeF, machine.LACE560AllnodeS} {
-		_, busy, wait, err := simSeries(p, ch, 5)
+		_, busy, wait, err := simSeries(p, viscous, 5)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, busy, wait)
 	}
-	_, _, ethWait, err := simSeries(machine.LACE560Ethernet, ch, 5)
+	_, _, ethWait, err := simSeries(machine.LACE560Ethernet, viscous, 5)
 	if err != nil {
 		return nil, err
 	}
@@ -260,11 +292,10 @@ func FigLACEComponents(viscous bool) ([]stats.Series, error) {
 // FigCommVersions produces the Version 5/6/7 comparison on ALLNODE-S
 // and Ethernet (Figures 7 and 8).
 func FigCommVersions(viscous bool) ([]stats.Series, error) {
-	ch := charFor(viscous)
 	var out []stats.Series
 	for _, ver := range []int{5, 6, 7} {
 		for _, p := range []machine.Platform{machine.LACE560AllnodeS, machine.LACE560Ethernet} {
-			tot, _, _, err := simSeries(p, ch, ver)
+			tot, _, _, err := simSeries(p, viscous, ver)
 			if err != nil {
 				return nil, err
 			}
@@ -291,16 +322,7 @@ func ComparePlatforms() []machine.Platform {
 
 // FigPlatforms produces Figure 9 (viscous) or 10 (Euler).
 func FigPlatforms(viscous bool) ([]stats.Series, error) {
-	ch := charFor(viscous)
-	var out []stats.Series
-	for _, p := range ComparePlatforms() {
-		tot, _, _, err := simSeries(p, ch, 5)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tot)
-	}
-	return out, nil
+	return totals(ComparePlatforms(), viscous)
 }
 
 // ---------------------------------------------------------------------
@@ -309,10 +331,9 @@ func FigPlatforms(viscous bool) ([]stats.Series, error) {
 // FigLibraries produces the busy and non-overlapped curves for MPL and
 // PVMe (Figures 11 and 12).
 func FigLibraries(viscous bool) ([]stats.Series, error) {
-	ch := charFor(viscous)
 	var out []stats.Series
 	for _, p := range []machine.Platform{machine.SPMPL, machine.SPPVMe} {
-		_, busy, wait, err := simSeries(p, ch, 5)
+		_, busy, wait, err := simSeries(p, viscous, 5)
 		if err != nil {
 			return nil, err
 		}

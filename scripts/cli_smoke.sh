@@ -13,25 +13,32 @@ if go run ./cmd/jetsim -nx 64 -nr 24 -steps 4 -fresh -halo-depth 2; then
 	exit 1
 fi
 
-# Retired parallel-in-time spellings are rejected, not silently dropped:
-# the flag by jetsim's flag set, the job field by jetsimd's decoder.
-if go run ./cmd/jetsim -nx 64 -nr 24 -steps 4 -time-slices 4; then
-	echo "cli smoke: -time-slices was accepted" >&2
-	exit 1
-fi
-if err=$(echo '{"time_slices":4,"nx":64,"nr":24,"steps":4}' | go run ./cmd/jetsimd -batch 2>&1); then
-	echo "cli smoke: a job with time_slices was accepted" >&2
-	exit 1
-fi
-grep -q 'job 0: json: unknown field "time_slices"' <<<"$err" ||
-	{ echo "cli smoke: time_slices job failed for the wrong reason: $err" >&2; exit 1; }
+# Retired spellings are rejected, not silently dropped: the flag by
+# jetsim's flag set, the job field by jetsimd's decoder. The backend
+# name alone selects the communication version (mp2d:v6, hybrid:v7).
+for retired in '-time-slices 4' '-version 6'; do
+	# shellcheck disable=SC2086 # the flag and its value are two words
+	if go run ./cmd/jetsim -nx 64 -nr 24 -steps 4 $retired; then
+		echo "cli smoke: jetsim accepted $retired" >&2
+		exit 1
+	fi
+done
+for spelled in '"time_slices":4' '"version":6'; do
+	field=${spelled%%:*}
+	if err=$(echo "{$spelled,\"nx\":64,\"nr\":24,\"steps\":4}" | go run ./cmd/jetsimd -batch 2>&1); then
+		echo "cli smoke: a job with $field was accepted" >&2
+		exit 1
+	fi
+	grep -q "job 0: json: unknown field $field" <<<"$err" ||
+		{ echo "cli smoke: $field job failed for the wrong reason: $err" >&2; exit 1; }
+done
 
 # Two alias spellings of one job are one cache line: one of the two
 # concurrently served results is the cold run, the other its cached
 # replay, under one key with one momentum checksum.
 out=$(printf '%s\n' \
-	'{"id":"spelled","backend":"mp2d","version":6,"procs":2,"nx":64,"nr":24,"steps":4}' \
-	'{"id":"pinned","backend":"mp2d:v6","procs":2,"nx":64,"nr":24,"steps":4}' |
+	'{"id":"fresh","backend":"mp2d:v6","fresh":true,"procs":2,"nx":64,"nr":24,"steps":4}' \
+	'{"id":"depth1","backend":"mp2d:v6","halo_depth":1,"procs":2,"nx":64,"nr":24,"steps":4}' |
 	go run ./cmd/jetsimd -batch)
 echo "$out"
 distinct() { grep -o "\"$1\": \"[0-9a-f]*\"" <<<"$out" | sort -u | wc -l; }
