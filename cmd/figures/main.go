@@ -17,9 +17,11 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/decomp"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/study"
+	"repro/internal/trace"
 	"repro/internal/vis"
 )
 
@@ -136,6 +138,32 @@ func main() {
 			}
 			t.Render(w)
 			fmt.Fprintf(w, "load imbalance (max-min)/mean = %.2f%%\n", stats.RelSpread(busy)*100)
+
+			// The same SP on a skewed per-column cost profile: balanced
+			// point counts stop balancing busy times, and the
+			// cost-weighted split of the identical profile restores it.
+			uniform, weighted, err := study.Fig13Skewed(16)
+			if err != nil {
+				return err
+			}
+			skew := trace.RampCost(trace.PaperNS().Nx, study.Fig13SkewRatio)
+			dw, err := decomp.WeightedAxial(len(skew), 16, skew)
+			if err != nil {
+				return err
+			}
+			u, wt := stats.Series{Name: "Uniform (s)"}, stats.Series{Name: "Weighted (s)"}
+			for i := range uniform {
+				u.Add(float64(i), uniform[i])
+				wt.Add(float64(i), weighted[i])
+			}
+			t = report.SeriesTable(fmt.Sprintf("Figure 13, skewed: busy times under a %gx per-column cost ramp", study.Fig13SkewRatio),
+				"Processor", []stats.Series{u, wt})
+			fmt.Fprintln(w)
+			t.Render(w)
+			fmt.Fprintf(w, "busy-time spread (max-min)/mean: %.1f%% uniform -> %.1f%% weighted\n",
+				stats.RelSpread(uniform)*100, stats.RelSpread(weighted)*100)
+			fmt.Fprintf(w, "weighted split: point imbalance %.1f%%, cost imbalance %.1f%%\n",
+				dw.Imbalance()*100, dw.CostImbalance(skew)*100)
 			return nil
 		}},
 		{"verify", func(w io.Writer) error {

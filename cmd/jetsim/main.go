@@ -23,6 +23,9 @@
 //	jetsim -scenario cavity -steady-tol 1e-6 -steps 5000  # stop on velocity steadiness
 //	jetsim -scenario channel -backend mp2d -procs 4    # wall-bounded pipe flow
 //	jetsim -contour -pgm out/jet.pgm
+//	jetsim -backend mp2d:v6 -procs 2 -cosim all    # beside the nine 1995 platforms
+//	jetsim -euler -backend mp:v7 -cosim all        # co-simulate Euler with de-burst messages
+//	jetsim -backend hybrid -cosim "Cray T3D"       # one platform
 package main
 
 import (
@@ -33,11 +36,45 @@ import (
 	"strings"
 
 	"repro/internal/backend"
-	"repro/internal/cliutil"
 	"repro/internal/core"
+	"repro/internal/machine"
+	"repro/internal/par"
+	"repro/internal/report"
 	"repro/internal/scenario"
+	"repro/internal/stats"
+	"repro/internal/study"
+	"repro/internal/trace"
 	"repro/internal/vis"
 )
+
+// explicitPositive lists the integer flags whose zero value only means
+// "default" while it is the untouched default: given explicitly they
+// must be >= 1. The value is the error format. Contradictions between
+// flags (-fresh with -halo-depth k > 1) are Config.Canonical's to judge.
+var explicitPositive = map[string]string{
+	"reduce-every": "-reduce-every must be a positive cadence in steps, got %d",
+	"halo-depth":   "-halo-depth must be >= 1 (1 = fresh per-stage exchange, k > 1 = exchange every k-th step), got %d",
+	"reduce-group": "-reduce-group must be >= 1 (1 = flat allreduce), got %d",
+}
+
+// platforms resolves -cosim: "all" is the paper's nine co-simulated
+// platforms, any other name selects the one so called, empty none.
+func platforms(name string) []machine.Platform {
+	var out []machine.Platform
+	for _, p := range []machine.Platform{
+		machine.LACE560Ethernet, machine.LACE560FDDI, machine.LACE560AllnodeS,
+		machine.LACE590AllnodeF, machine.LACE590ATM,
+		machine.SPMPL, machine.SPPVMe, machine.T3D, machine.YMP,
+	} {
+		if name == "all" || p.Name == name {
+			out = append(out, p)
+		}
+	}
+	if name != "" && out == nil {
+		log.Fatalf("-cosim: unknown platform %q (all, or one platform name)", name)
+	}
+	return out
+}
 
 func main() {
 	log.SetFlags(0)
@@ -68,13 +105,19 @@ func main() {
 	flag.Float64Var(&cfg.SteadyTol, "steady-tol", 0, "stop tolerance on velocity steadiness max(|du|,|dv|)/dt — the closed-flow criterion (e.g. cavity); mutually exclusive with -tol (0 = march -steps fixed)")
 	contour := flag.Bool("contour", false, "print an ASCII contour of axial momentum")
 	pgm := flag.String("pgm", "", "write axial momentum as a PGM image to this path")
+	cosim := flag.String("cosim", "", "after the run, co-simulate the paper's 1995 platforms on its workload and communication strategy, and print their time table with the measured run as one more series: all, or one platform name")
 	flag.Parse()
 
-	if err := cliutil.CheckExplicit(flag.CommandLine); err != nil {
-		log.Fatal(err)
-	}
 	explicitProcs := false
-	flag.Visit(func(f *flag.Flag) { explicitProcs = explicitProcs || f.Name == "procs" })
+	flag.Visit(func(f *flag.Flag) {
+		explicitProcs = explicitProcs || f.Name == "procs"
+		if format, ok := explicitPositive[f.Name]; ok {
+			if v := f.Value.(flag.Getter).Get().(int); v < 1 {
+				log.Fatalf(format, v)
+			}
+		}
+	})
+	plats := platforms(*cosim)
 	if cfg.Px > 0 && cfg.Pr > 0 && !explicitProcs {
 		// An explicit rank-grid shape defines the width; only an
 		// explicitly contradicting -procs should error downstream.
@@ -109,10 +152,7 @@ func main() {
 		if res.Converged {
 			fmt.Printf("converged at step %d: %s %.4g <= tol %.4g\n", res.Steps, crit, last.Residual, lim)
 		} else {
-			every := cfg.ReduceEvery
-			if every == 0 {
-				every = 1 // the controller's default when only a tolerance is set
-			}
+			every := max(cfg.ReduceEvery, 1) // the controller's default is every step
 			fmt.Printf("%s %.4g after %d steps (monitored every %d)\n", crit, last.Residual, res.Steps, every)
 		}
 	}
@@ -149,4 +189,43 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *pgm)
 	}
+	if plats != nil {
+		cosimulate(plats, cfg, res, backend.Version(run.Backend()))
+	}
+}
+
+// cosimulate prints the time table and log chart of plats replaying the
+// paper's trace of the run's equations, priced with the run's own
+// reduction cadence, halo depth and reduce group and with its backend's
+// communication strategy. The measured run is one more series, at the
+// width it ran.
+func cosimulate(plats []machine.Platform, cfg core.Config, res *core.Result, v par.Version) {
+	ch := trace.PaperNS()
+	if cfg.Euler {
+		ch = trace.PaperEuler()
+	}
+	ch.ReduceEvery, ch.HaloDepth, ch.ReduceGroup = cfg.ReduceEvery, cfg.HaloDepth, cfg.ReduceGroup
+	var series []stats.Series
+	for _, p := range plats {
+		s := stats.Series{Name: p.Name}
+		for _, np := range study.ProcCounts(p.MaxProcs) {
+			if np < ch.ReduceGroup {
+				continue // no node of that size fits the run
+			}
+			o, err := p.Simulate(ch, np, int(v))
+			if err != nil {
+				log.Fatal(err)
+			}
+			s.Add(float64(np), o.Seconds)
+		}
+		series = append(series, s)
+	}
+	series = append(series, stats.Series{Name: fmt.Sprintf("host %s (measured)", res.Backend),
+		X: []float64{float64(res.Procs)}, Y: []float64{res.Elapsed.Seconds()}})
+	title := fmt.Sprintf("%s execution time (s), %v", ch.Name, v)
+	t := report.SeriesTable(title, "Procs", series)
+	fmt.Println()
+	t.Render(os.Stdout)
+	fmt.Println()
+	report.LogChart(os.Stdout, title+" [log scale]", series, 14)
 }

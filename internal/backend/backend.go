@@ -313,3 +313,8 @@ func Width(name string, o Options) (int, error) {
 	}
 	return b.(spatialBackend).width(o), nil
 }
+
+// Version is the communication strategy b runs, read from its table
+// row. The names with no message layer (serial, shm) report V5, the
+// paper's baseline, which is what a co-simulation of their run prices.
+func Version(b Backend) par.Version { return max(b.(spatialBackend).version, par.V5) }

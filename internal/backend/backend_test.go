@@ -317,6 +317,11 @@ func TestVersionSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Version, what a co-simulation of the run prices, reads the
+		// row; the names with no message layer price the baseline V5.
+		if v := Version(be); v != max(want[name], par.V5) {
+			t.Errorf("Version(%s) = %d, want %d", name, int(v), int(max(want[name], par.V5)))
+		}
 		b := be.(spatialBackend)
 		o := Options{Procs: 3, Policy: solver.Lagged}
 		if rankPools(name) {
